@@ -83,9 +83,10 @@ NONDETERMINISTIC_CALLS = frozenset({
 
 # -- RPR004 pickle boundary --------------------------------------------------
 
-#: Local names that denote supervisor/pool queues at ``.put()`` sites
-#: (the last attribute segment of the receiver).
-QUEUE_RECEIVER_NAMES = frozenset({"inq", "outq", "_outq", "queue"})
+#: Local names that denote supervisor/pool queues at ``.put()`` sites,
+#: or a worker's result pipe at ``.send()`` sites (the last attribute
+#: segment of the receiver).
+QUEUE_RECEIVER_NAMES = frozenset({"inq", "outq", "_outq", "queue", "results"})
 
 #: Callables whose results are pickle-safe by construction and may
 #: appear inside a queue payload tuple.

@@ -6,7 +6,8 @@ the reason failures travel as ``RemoteTaskError`` (which carries its
 formatted remote traceback through ``__reduce__``) instead of arbitrary
 exception objects.  The rule checks the two directions:
 
-* every ``.put()`` on a queue receiver carries ``None`` (the stop
+* every ``.put()`` on a queue receiver (or ``.send()`` on a result
+  pipe) carries ``None`` (the stop
   sentinel) or a literal tuple whose elements are constants, names,
   attribute loads, literal dicts/lists or calls to pickle-safe
   constructors (:data:`~repro.analysis.lint.policy.PICKLE_SAFE_CALLS`);
@@ -86,7 +87,7 @@ class PickleBoundaryRule(Rule):
             if not (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
-                and node.func.attr in ("put", "put_nowait")
+                and node.func.attr in ("put", "put_nowait", "send")
             ):
                 continue
             receiver = dotted_name(node.func.value)
@@ -103,8 +104,8 @@ class PickleBoundaryRule(Rule):
                 findings.append(ctx.finding(
                     self,
                     payload,
-                    f"queue payload on {receiver}.put() is not the None "
-                    "sentinel or a literal message tuple",
+                    f"queue payload on {receiver}.{node.func.attr}() is not "
+                    "the None sentinel or a literal message tuple",
                 ))
                 continue
             problem = _payload_problem(payload)
@@ -112,7 +113,8 @@ class PickleBoundaryRule(Rule):
                 findings.append(ctx.finding(
                     self,
                     payload,
-                    f"queue payload on {receiver}.put(): {problem}",
+                    f"queue payload on {receiver}.{node.func.attr}(): "
+                    f"{problem}",
                 ))
         return findings
 

@@ -49,13 +49,13 @@ from __future__ import annotations
 
 import hashlib
 import os
-import queue as queue_module
 import signal
 import time
 from collections import deque
 from dataclasses import dataclass, field, replace as dc_replace
 
 import multiprocessing
+from multiprocessing.connection import wait as wait_readable
 
 from repro.core.errors import ReproError
 from repro.campaign.chaos import ChaosSpec
@@ -250,14 +250,18 @@ def _apply_override(specs, backend_override):
 # -- worker side -------------------------------------------------------------
 
 
-def _worker_main(inq, outq, init_args, chaos: ChaosSpec | None) -> None:
+def _worker_main(inq, results, init_args, chaos: ChaosSpec | None) -> None:
     """The supervised worker loop: init, then task → result until stop.
 
     Reuses the runner's pool initializer and group executor verbatim
     (imported lazily — the runner imports this module at top level).
     Exceptions become structured ``err`` messages carrying the child's
-    formatted traceback; chaos crash/hang injection happens before the
-    group runs, so a killed worker never holds the result pipe's lock.
+    formatted traceback.  ``results`` is the write end of this worker's
+    own pipe, written synchronously: a message is fully in the pipe
+    before the next task starts.  A kill mid-write (a timeout kill can
+    land at any point) can truncate only this worker's pipe, which the
+    parent reads to its end and replaces on respawn; no lock is shared
+    with the other workers.
     """
     from repro.campaign import runner
 
@@ -278,7 +282,7 @@ def _worker_main(inq, outq, init_args, chaos: ChaosSpec | None) -> None:
             _, payload, delta, tele = runner._run_group_shm(
                 (task_id, list(specs), use_shm, dispatch_ts)
             )
-            outq.put(("ok", task_id, os.getpid(), payload, delta, tele))
+            results.send(("ok", task_id, os.getpid(), payload, delta, tele))
         except Exception as exc:  # noqa: BLE001 — shipped, not swallowed
             if isinstance(exc, RemoteTaskError):
                 traceback_text = exc.remote_traceback
@@ -286,7 +290,7 @@ def _worker_main(inq, outq, init_args, chaos: ChaosSpec | None) -> None:
             else:
                 traceback_text = format_remote_traceback(exc)
                 message = str(exc)
-            outq.put((
+            results.send((
                 "err",
                 task_id,
                 os.getpid(),
@@ -301,7 +305,7 @@ def _worker_main(inq, outq, init_args, chaos: ChaosSpec | None) -> None:
 
 
 class _Worker:
-    """One supervised worker process and its private task queue.
+    """One supervised worker process, its task queue and result pipe.
 
     Up to :data:`PREFETCH` tasks are in flight per worker — one running
     plus one queued — so a worker rolls straight into its next task
@@ -313,27 +317,39 @@ class _Worker:
     arrived.
     """
 
-    def __init__(self, ctx, outq, init_args, chaos) -> None:
+    def __init__(self, ctx, init_args, chaos) -> None:
         self._ctx = ctx
-        self._outq = outq
         self._init_args = init_args
         self._chaos = chaos
         self.inflight: deque[Task] = deque()
         self.started = 0.0
+        self.results = None
         self.spawn()
 
     def spawn(self) -> None:
-        # A fresh inbound queue per (re)spawn: a SIGKILL mid-``get``
-        # can leave the old queue's read end in an undefined state.
+        # A fresh inbound queue and result pipe per (re)spawn: a SIGKILL
+        # mid-``get`` or mid-``send`` can leave the old ones in an
+        # undefined state.
+        self.close_results()
         self.inq = self._ctx.Queue()
+        self.results, writer = self._ctx.Pipe(duplex=False)
         self.proc = self._ctx.Process(
             target=_worker_main,
-            args=(self.inq, self._outq, self._init_args, self._chaos),
+            args=(self.inq, writer, self._init_args, self._chaos),
             daemon=True,
         )
         self.proc.start()
+        # Only the child may hold the write end, so its death reads as
+        # end-of-file here.
+        writer.close()
         self.inflight = deque()
         self.started = 0.0
+
+    def close_results(self) -> None:
+        """Drop the result pipe (spent: the worker died or was replaced)."""
+        if self.results is not None:
+            self.results.close()
+        self.results = None
 
     @property
     def pid(self) -> int | None:
@@ -369,6 +385,7 @@ class _Worker:
             self.proc.join(timeout=2.0)
         if self.proc.is_alive():
             self.kill()
+        self.close_results()
 
 
 # -- engines -----------------------------------------------------------------
@@ -476,44 +493,31 @@ def run_supervised(
     and ``on_tick`` are liveness hooks for heartbeat integration.
     """
     ctx = multiprocessing.get_context()
-    outq = ctx.Queue()
     sched = _Scheduler(
         [Task(id=i, specs=tuple(specs)) for i, specs in enumerate(tasks)],
         cfg,
         on_failure,
     )
     completed_ids: set[int] = set()
-    pool = [
-        _Worker(ctx, outq, init_args, chaos) for _ in range(workers)
-    ]
+    pool = [_Worker(ctx, init_args, chaos) for _ in range(workers)]
 
     def _respawn(worker: _Worker) -> None:
         _count(sched.stats, "respawns")
         worker.spawn()
 
-    def _drain_results() -> bool:
-        """Handle every queued worker message; True when any arrived."""
-        got = False
-        while True:
-            try:
-                msg = outq.get_nowait()
-            except queue_module.Empty:
-                return got
-            got = True
-            _handle(msg)
+    def _drain(worker: _Worker) -> None:
+        """Handle every message waiting in one worker's result pipe."""
+        try:
+            while worker.results is not None and worker.results.poll():
+                _handle(worker, worker.results.recv())
+        except (EOFError, OSError):
+            worker.close_results()  # the worker is gone
 
-    def _handle(msg) -> None:
+    def _handle(worker: _Worker, msg) -> None:
         now = time.monotonic()
-        status, task_id, pid = msg[0], msg[1], msg[2]
-        worker = next(
-            (
-                w for w in pool
-                if w.inflight and w.inflight[0].id == task_id
-            ),
-            None,
-        )
+        status, task_id = msg[0], msg[1]
         task = None
-        if worker is not None:
+        if worker.inflight and worker.inflight[0].id == task_id:
             task = worker.inflight.popleft()
             # The prefetched successor started the moment this result
             # was produced: restart its wall clock now.
@@ -576,20 +580,20 @@ def run_supervised(
             wakeup = sched.next_wakeup(now)
             if wakeup is not None:
                 wait = min(wait, wakeup)
-            try:
-                msg = outq.get(timeout=max(0.01, wait))
-            except queue_module.Empty:
-                msg = None
-            if msg is not None:
-                _handle(msg)
-                _drain_results()
+            readers = {
+                w.results: w for w in pool if w.results is not None
+            }
+            for reader in wait_readable(list(readers), max(0.01, wait)):
+                _drain(readers[reader])
             now = time.monotonic()
-            # Crashed workers: dead process while holding tasks.  The
-            # running head failed; prefetched successors never started
-            # and simply re-enter the queue, no attempt consumed.
+            # Crashed workers: dead process while holding tasks.  Results
+            # it sent before dying still count; then the running head
+            # failed, and prefetched successors never started and simply
+            # re-enter the queue, no attempt consumed.
             for worker in pool:
                 if worker.proc.is_alive():
                     continue
+                _drain(worker)
                 head = worker.inflight.popleft() if worker.inflight else None
                 queued = list(worker.inflight)
                 _respawn(worker)
@@ -631,6 +635,7 @@ def run_supervised(
                         head.id, cfg.task_timeout, pid,
                     )
                     worker.kill()
+                    _drain(worker)  # releases what a raced result holds
                     _respawn(worker)
                     for task in queued:
                         if task.id not in completed_ids:
@@ -658,7 +663,6 @@ def run_supervised(
     finally:
         for worker in pool:
             worker.stop()
-        outq.close()
     return sched.stats
 
 

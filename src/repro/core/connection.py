@@ -28,6 +28,7 @@ import numpy as np
 
 from repro.core import gf2
 from repro.core.errors import InvalidConnectionError
+from repro.core.sweeps import parent_table
 
 __all__ = ["Connection", "AffineConnection", "VertexType"]
 
@@ -140,16 +141,8 @@ class Connection:
         ``p0[y] <= p1[y]`` always; a cell fed by a double link has
         ``p0[y] == p1[y]``.
         """
-        size = self.size
-        p = np.empty((size, 2), dtype=np.int64)
-        count = np.zeros(size, dtype=np.int64)
-        for arr in (self._f, self._g):
-            for x in range(size):
-                y = arr[x]
-                p[y, count[y]] = x
-                count[y] += 1
-        p.sort(axis=1)
-        return p[:, 0].copy(), p[:, 1].copy()
+        parents = parent_table(np.stack((self._f, self._g), axis=1))
+        return parents[:, 0].copy(), parents[:, 1].copy()
 
     def arcs(self) -> Iterator[tuple[int, int, int]]:
         """Iterate over arcs as ``(x, child, tag)`` with tag 0 = f, 1 = g."""

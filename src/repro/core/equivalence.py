@@ -4,9 +4,13 @@ Two deciders are provided:
 
 * :func:`is_baseline_equivalent` — the *easy characterization*: a square
   MI-digraph is topologically equivalent to the Baseline network **iff** it
-  satisfies Banyan ∧ P(1, *) ∧ P(*, n) (§2 theorem).  Cost: a handful of
-  union-find sweeps and one path-count DP — no isomorphism search at all.
-  This is the paper's selling point.
+  satisfies Banyan ∧ P(1, *) ∧ P(*, n) (§2 theorem).  Cost: two array
+  sweeps of per-stage component labels (one forward, one backward) and
+  one bitset sweep that fails as soon as two paths from the same input
+  meet — no isomorphism search and no path counting at all.  The no-merge
+  test is exact because every cell reaches the last stage, so a merge
+  anywhere is two paths between some input and output
+  (:mod:`repro.core.sweeps`).  This is the paper's selling point.
 
 * :func:`baseline_isomorphism` — an explicit stage-respecting isomorphism
   onto the Baseline MI-digraph (the kind of one-to-one mapping Wu and Feng

@@ -32,6 +32,7 @@ import numpy as np
 
 from repro.core.midigraph import MIDigraph
 from repro.core.properties import p_profile
+from repro.core.sweeps import stage_components
 
 __all__ = [
     "automorphisms",
@@ -46,9 +47,10 @@ class _Layered:
     """Flattened adjacency of a layered digraph for the search.
 
     ``child_lists[s][x]`` holds the children (next-stage cell labels, with
-    multiplicity) of cell ``x`` at stage ``s + 1``.  Built either from an
-    :class:`MIDigraph` (2 children per cell) or from arbitrary child lists
-    (the radix-k extension passes ``k`` children per cell).
+    multiplicity) of cell ``x`` at stage ``s + 1``; ``child_arrays[s]`` is
+    the same gap as an ``(M, k)`` array for the array sweeps.  Built either
+    from an :class:`MIDigraph` (2 children per cell) or from arbitrary
+    child lists (the radix-k extension passes ``k`` children per cell).
     """
 
     def __init__(
@@ -56,6 +58,10 @@ class _Layered:
     ) -> None:
         self.n = len(child_lists) + 1
         self.size = size
+        self.child_arrays = [
+            np.asarray(stage_children, dtype=np.int64).reshape(size, -1)
+            for stage_children in child_lists
+        ]
         n_nodes = self.n * size
         self.children: list[tuple[int, ...]] = [() for _ in range(n_nodes)]
         self.parents: list[tuple[int, ...]] = [() for _ in range(n_nodes)]
@@ -95,34 +101,17 @@ class _Layered:
         equal-sized components of the peer's — binding these during the
         search encodes the paper's P-structure as hard pruning.
         """
-        from repro.core.unionfind import UnionFind
-
         n, size = self.n, self.size
-        n_nodes = n * size
+        ranges = [(j, n) for j in range(1, n)]  # suffixes; j = 1: all of G
+        ranges += [(1, j) for j in range(2, n)]  # prefixes
         tables: list[tuple[list[int], list[int]]] = []
-
-        def build(lo_stage: int, hi_stage: int) -> None:
-            uf = UnionFind(n_nodes)
-            for v in range((lo_stage - 1) * size, hi_stage * size):
-                if self.stage_of(v) < hi_stage:
-                    for c in self.children[v]:
-                        uf.union(v, c)
-            comp_id = [-1] * n_nodes
-            sizes: list[int] = []
-            ids: dict[int, int] = {}
-            for v in range((lo_stage - 1) * size, hi_stage * size):
-                root = uf.find(v)
-                cid = ids.setdefault(root, len(ids))
-                if cid == len(sizes):
-                    sizes.append(0)
-                comp_id[v] = cid
-                sizes[cid] += 1
-            tables.append((comp_id, sizes))
-
-        for j in range(1, n):  # suffixes (G)_{j,n}; j = 1 = whole graph
-            build(j, n)
-        for j in range(2, n):  # prefixes (G)_{1,j}
-            build(1, j)
+        for lo, hi in ranges:
+            labels = stage_components(
+                self.child_arrays[lo - 1 : hi - 1], size
+            ).ravel()
+            comp_id = [-1] * (n * size)
+            comp_id[(lo - 1) * size : hi * size] = labels.tolist()
+            tables.append((comp_id, np.bincount(labels).tolist()))
         return tables
 
 

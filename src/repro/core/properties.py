@@ -6,13 +6,26 @@ Definitions implemented here, verbatim from the paper:
   path connecting them".  Since the two inputs (outputs) attached to a
   first-stage (last-stage) cell reach exactly what the cell reaches, this is
   equivalent to: *the number of directed paths between every first-stage
-  cell and every last-stage cell is exactly 1* — which is what
-  :func:`is_banyan` checks via a path-counting dynamic program.
+  cell and every last-stage cell is exactly 1*.  :func:`is_banyan` decides
+  it without counting: a sweep over the stages carries, for every cell,
+  the bitset of first-stage cells that reach it, and fails as soon as two
+  parents of a cell share a source.  That no-merge test is exact because
+  every cell reaches the last stage, so one merge anywhere already means
+  two paths between some input and output; with no merge all counts are
+  0 or 1 and the last stage must be reached from every source
+  (:func:`repro.core.sweeps.unique_paths`).  ``O(n · M² / 64)`` word
+  operations in bounded memory; :func:`path_count_matrix` keeps the dense
+  counts for callers that want the numbers themselves.
 
 * **P(i, j)** — "the sub-digraph (G)_{i,j} has exactly ``2^{n-1-(j-i)}``
   connected components" (components of the undirected underlying graph).
+  The paper counts them "using a breadth first search"; here one array
+  sweep carries per-stage component labels from stage to stage, merging
+  them through each gap's arcs (:mod:`repro.core.sweeps`): a few ``O(M)``
+  array passes per gap.
 
-* **P(1, \\*)** / **P(\\*, n)** — P(1, j) for every j / P(i, n) for every i.
+* **P(1, \\*)** / **P(\\*, n)** — P(1, j) for every j / P(i, n) for every
+  i: one forward and one backward sweep.
 
 The characterization theorem (§2, proved in the companion paper [12]):
 
@@ -29,7 +42,8 @@ import numpy as np
 
 from repro.core.errors import StageIndexError
 from repro.core.midigraph import MIDigraph
-from repro.core.unionfind import UnionFind
+from repro.core.sweeps import component_counts as _counts
+from repro.core.sweeps import stage_components, unique_paths
 
 __all__ = [
     "component_labels",
@@ -63,34 +77,30 @@ def path_count_matrix(net: MIDigraph) -> np.ndarray:
     return counts.T.copy()
 
 
+def _children(net: MIDigraph, i: int = 1, j: int | None = None) -> list[np.ndarray]:
+    """The ``(M, 2)`` child tables of the gaps between stages ``i`` and ``j``."""
+    conns = net.connections[i - 1 : (net.n_stages if j is None else j) - 1]
+    return [np.stack((c.f, c.g), axis=1) for c in conns]
+
+
+def _check_range(net: MIDigraph, i: int, j: int) -> None:
+    n = net.n_stages
+    if not (1 <= i <= j <= n):
+        raise StageIndexError(f"need 1 <= i <= j <= {n}, got ({i}, {j})")
+
+
 def is_banyan(net: MIDigraph) -> bool:
     """Whether the MI-digraph has the Banyan property (unique paths).
 
-    Short-circuits on double links: every cell of an MI-digraph is reachable
-    from stage 1 and reaches stage n (in/out-degree 2 everywhere), so a
-    double link anywhere already creates two parallel input→output paths —
-    this is the degeneracy of Figure 5.
+    A double link is two parallel arcs, so it fails the no-merge test at
+    once — this is the degeneracy of Figure 5.
     """
-    if any(c.has_double_links for c in net.connections):
-        return False
-    return bool(np.all(path_count_matrix(net) == 1))
+    return unique_paths(_children(net), net.size)
 
 
 # ---------------------------------------------------------------------------
 # Connected components and the P properties
 # ---------------------------------------------------------------------------
-
-
-def _union_gap(uf: UnionFind, net: MIDigraph, gap: int, off_a: int, off_b: int) -> None:
-    """Union the endpoints of every arc of ``gap`` into ``uf``.
-
-    ``off_a``/``off_b`` are the index offsets of the two stages inside the
-    union-find universe.
-    """
-    conn = net.connections[gap - 1]
-    for arr in (conn.f, conn.g):
-        for x in range(net.size):
-            uf.union(off_a + x, off_b + int(arr[x]))
 
 
 def count_components(net: MIDigraph, i: int, j: int) -> int:
@@ -99,15 +109,9 @@ def count_components(net: MIDigraph, i: int, j: int) -> int:
     Components are taken in the undirected underlying graph, per the paper's
     definition.  ``i == j`` is allowed and yields ``M`` (isolated nodes).
     """
-    n = net.n_stages
-    if not (1 <= i <= j <= n):
-        raise StageIndexError(f"need 1 <= i <= j <= {n}, got ({i}, {j})")
-    size = net.size
-    uf = UnionFind((j - i + 1) * size)
-    for gap in range(i, j):
-        off = (gap - i) * size
-        _union_gap(uf, net, gap, off, off + size)
-    return uf.n_components
+    _check_range(net, i, j)
+    # Every added cell joins an existing component, so counts only fall.
+    return min(_counts(_children(net, i, j), net.size), default=net.size)
 
 
 def expected_components(net: MIDigraph, i: int, j: int) -> int:
@@ -128,28 +132,27 @@ def p_property(net: MIDigraph, i: int, j: int) -> bool:
 def p_one_star(net: MIDigraph) -> bool:
     """Whether the MI-digraph satisfies P(1, *) — P(1, j) for all j.
 
-    Single incremental union-find sweep over prefixes, ``O(n · M · α)``.
+    One forward component sweep; stops at the first failing prefix.
     """
-    size = net.size
-    n = net.n_stages
-    uf = UnionFind(size)  # stage 1
-    if uf.n_components != expected_components(net, 1, 1):  # pragma: no cover
-        return False
-    for j in range(2, n + 1):
-        uf.add(size)
-        _union_gap(uf, net, j - 1, (j - 2) * size, (j - 1) * size)
-        if uf.n_components != expected_components(net, 1, j):
-            return False
-    return True
+    return all(
+        count == expected_components(net, 1, j)
+        for j, count in enumerate(_counts(_children(net), net.size), start=2)
+    )
 
 
 def p_star_n(net: MIDigraph) -> bool:
     """Whether the MI-digraph satisfies P(*, n) — P(i, n) for all i.
 
-    Implemented as :func:`p_one_star` of the reverse digraph (the component
-    structure of ``(G)_{i,n}`` equals that of ``(G^{-1})_{1,n+1-i}``).
+    The same sweep walked backwards from stage ``n`` over the ``f``/``g``
+    tables: after reaching stage ``i`` it counts the components of
+    ``(G)_{i,n}``.
     """
-    return p_one_star(net.reverse())
+    n = net.n_stages
+    counts = _counts(_children(net), net.size, backward=True)
+    return all(
+        count == expected_components(net, i, n)
+        for i, count in zip(range(n - 1, 0, -1), counts)
+    )
 
 
 def p_profile(net: MIDigraph) -> dict[tuple[int, int], int]:
@@ -158,18 +161,17 @@ def p_profile(net: MIDigraph) -> dict[tuple[int, int], int]:
     This is the full invariant family from which all P properties read off;
     it is preserved by MI-digraph isomorphism, which makes it a useful
     fingerprint for *distinguishing* non-equivalent networks (used by the
-    counterexample experiments).  ``O(n² · M · α)``.
+    counterexample experiments).  One forward sweep per start stage,
+    ``O(n² · M)`` array work.
     """
     n = net.n_stages
+    children = _children(net)
     out: dict[tuple[int, int], int] = {}
-    size = net.size
     for i in range(1, n + 1):
-        uf = UnionFind(size)
-        out[(i, i)] = uf.n_components
-        for j in range(i + 1, n + 1):
-            uf.add(size)
-            _union_gap(uf, net, j - 1, (j - 1 - i) * size, (j - i) * size)
-            out[(i, j)] = uf.n_components
+        out[(i, i)] = net.size
+        counts = _counts(children[i - 1 :], net.size)
+        for j, count in enumerate(counts, start=i + 1):
+            out[(i, j)] = count
     return out
 
 
@@ -182,21 +184,8 @@ def component_labels(net: MIDigraph, i: int, j: int) -> np.ndarray:
     consistent within one call — suitable for building invariant colors for
     the isomorphism search.
     """
-    n = net.n_stages
-    if not (1 <= i <= j <= n):
-        raise StageIndexError(f"need 1 <= i <= j <= {n}, got ({i}, {j})")
-    size = net.size
-    uf = UnionFind((j - i + 1) * size)
-    for gap in range(i, j):
-        off = (gap - i) * size
-        _union_gap(uf, net, gap, off, off + size)
-    ids: dict[int, int] = {}
-    out = np.empty((j - i + 1, size), dtype=np.int64)
-    for s in range(j - i + 1):
-        for x in range(size):
-            root = uf.find(s * size + x)
-            out[s, x] = ids.setdefault(root, len(ids))
-    return out
+    _check_range(net, i, j)
+    return stage_components(_children(net, i, j), net.size)
 
 
 def component_stage_intersections(

@@ -5,7 +5,7 @@
 
 We time three deciders of Baseline equivalence on the Omega network:
 
-1. the paper's characterization (union-find sweeps + path-count DP),
+1. the paper's characterization (component sweeps + bitset Banyan sweep),
 2. our explicit stage-respecting isomorphism search,
 3. networkx VF2 on the full MultiDiGraph (generic, label-blind baseline).
 

@@ -13,6 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.core.errors import InvalidConnectionError, InvalidNetworkError
+from repro.core.sweeps import parent_table
 
 __all__ = ["RadixConnection", "RadixMIDigraph"]
 
@@ -167,14 +168,10 @@ class RadixMIDigraph:
 
     def reverse(self) -> "RadixMIDigraph":
         """The reverse radix MI-digraph (parents become children)."""
-        rev = []
-        for conn in reversed(self._connections):
-            parents: list[list[int]] = [[] for _ in range(self._size)]
-            for x in range(self._size):
-                for c in conn.children_of(x):
-                    parents[c].append(x)
-            rev.append(RadixConnection(parents, validate=True))
-        return RadixMIDigraph(rev)
+        return RadixMIDigraph([
+            RadixConnection(parent_table(conn.children))
+            for conn in reversed(self._connections)
+        ])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RadixMIDigraph):

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.core.errors import StageIndexError
 from repro.core.isomorphism import find_layered_isomorphism
-from repro.core.unionfind import UnionFind
+from repro.core.sweeps import component_counts, unique_paths
 from repro.radix.midigraph import RadixMIDigraph
 
 __all__ = [
@@ -42,16 +42,17 @@ def radix_path_count_matrix(net: RadixMIDigraph) -> np.ndarray:
     return counts.T.copy()
 
 
+def _children(net: RadixMIDigraph) -> list[np.ndarray]:
+    return [conn.children for conn in net.connections]
+
+
 def radix_is_banyan(net: RadixMIDigraph) -> bool:
-    """Unique input→output paths (every path-count equals 1)."""
-    return bool(np.all(radix_path_count_matrix(net) == 1))
+    """Unique input→output paths (every path-count equals 1).
 
-
-def _union_gap(uf: UnionFind, net: RadixMIDigraph, gap: int, off_a: int, off_b: int) -> None:
-    conn = net.connections[gap - 1]
-    for x in range(net.size):
-        for c in conn.children_of(x):
-            uf.union(off_a + x, off_b + c)
+    Decided by the bitset no-merge sweep of
+    :func:`repro.core.sweeps.unique_paths` at ``k`` parents per cell.
+    """
+    return unique_paths(_children(net), net.size)
 
 
 def radix_count_components(net: RadixMIDigraph, i: int, j: int) -> int:
@@ -59,12 +60,8 @@ def radix_count_components(net: RadixMIDigraph, i: int, j: int) -> int:
     n = net.n_stages
     if not (1 <= i <= j <= n):
         raise StageIndexError(f"need 1 <= i <= j <= {n}, got ({i}, {j})")
-    size = net.size
-    uf = UnionFind((j - i + 1) * size)
-    for gap in range(i, j):
-        off = (gap - i) * size
-        _union_gap(uf, net, gap, off, off + size)
-    return uf.n_components
+    counts = component_counts(_children(net)[i - 1 : j - 1], net.size)
+    return min(counts, default=net.size)
 
 
 def radix_expected_components(net: RadixMIDigraph, i: int, j: int) -> int:
@@ -80,20 +77,22 @@ def radix_p_property(net: RadixMIDigraph, i: int, j: int) -> bool:
 
 
 def radix_p_one_star(net: RadixMIDigraph) -> bool:
-    """P(1, j) for every j (incremental prefix sweep)."""
-    size = net.size
-    uf = UnionFind(size)
-    for j in range(2, net.n_stages + 1):
-        uf.add(size)
-        _union_gap(uf, net, j - 1, (j - 2) * size, (j - 1) * size)
-        if uf.n_components != radix_expected_components(net, 1, j):
-            return False
-    return True
+    """P(1, j) for every j (forward component sweep)."""
+    counts = component_counts(_children(net), net.size)
+    return all(
+        count == radix_expected_components(net, 1, j)
+        for j, count in enumerate(counts, start=2)
+    )
 
 
 def radix_p_star_n(net: RadixMIDigraph) -> bool:
-    """P(i, n) for every i (prefix sweep of the reverse digraph)."""
-    return radix_p_one_star(net.reverse())
+    """P(i, n) for every i (backward component sweep from stage n)."""
+    n = net.n_stages
+    counts = component_counts(_children(net), net.size, backward=True)
+    return all(
+        count == radix_expected_components(net, i, n)
+        for i, count in zip(range(n - 1, 0, -1), counts)
+    )
 
 
 def radix_is_baseline_equivalent(net: RadixMIDigraph) -> bool:

@@ -76,6 +76,29 @@ class TestAccessors:
         assert p0.tolist() == [0, 0]
         assert p1.tolist() == [1, 1]
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_parent_arrays_match_loop_oracle(self, seed):
+        # Random connections, double links included: every cell's two
+        # parents, sorted, exactly as a loop over the arcs finds them.
+        rng = np.random.default_rng(seed)
+        size = 1 << int(rng.integers(1, 7))
+        slots = np.repeat(np.arange(size), 2)
+        rng.shuffle(slots)
+        conn = Connection(slots[0::2], slots[1::2])
+        found: list[list[int]] = [[] for _ in range(size)]
+        for x, y, _tag in conn.arcs():
+            found[y].append(x)
+        p0, p1 = conn.parent_arrays()
+        assert [[a, b] for a, b in zip(p0.tolist(), p1.tolist())] == [
+            sorted(pair) for pair in found
+        ]
+
+    def test_parent_arrays_keep_double_links(self):
+        conn = Connection([1, 0, 3, 2], [1, 2, 3, 0])
+        p0, p1 = conn.parent_arrays()
+        assert p0.tolist() == [1, 0, 1, 2]
+        assert p1.tolist() == [3, 0, 3, 2]
+
     def test_arcs_enumeration(self):
         conn = crossbar2()
         arcs = list(conn.arcs())

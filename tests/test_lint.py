@@ -365,6 +365,17 @@ class TestPickleBoundary:
             """)
         assert not hits(lint(tmp_path), "RPR004")
 
+    def test_result_pipe_send_is_checked(self, tmp_path):
+        write(tmp_path, "repro/campaign/w.py", """\
+            import os
+
+            def _worker_main(inq, results, payload):
+                results.send(("ok", 1, os.getpid(), payload))
+                results.send(("ok", lambda: 1))
+            """)
+        found = hits(lint(tmp_path), "RPR004")
+        assert len(found) == 1 and "results.send()" in found[0].message
+
     def test_non_whitelisted_call_in_payload_flagged(self, tmp_path):
         write(tmp_path, "repro/campaign/w.py", """\
             def _worker_main(inq, outq, spec):

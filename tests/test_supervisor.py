@@ -18,6 +18,7 @@ import signal
 import subprocess
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -70,6 +71,22 @@ def _clean(path) -> dict:
         }
         for r in load_records(path)
     }
+
+
+@contextmanager
+def watchdog(seconds: int):
+    """Fail the enclosed block with TimeoutError instead of hanging."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds}s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="module")
@@ -628,6 +645,37 @@ class TestSupervisedCampaign:
         assert summary["faults"]["crashes"] >= 1
         assert summary["faults"]["respawns"] >= 1
         assert _clean(path) == want
+
+    def test_repeated_kills_between_tasks_never_hang(self, tmp_path):
+        # One task per scenario and half of all attempts SIGKILLed at
+        # task start: a worker dies right after sending the previous
+        # task's result, dozens of times per sweep.  Results must
+        # neither be lost nor wedge the other workers' delivery.
+        spec = tiny_spec(seeds=tuple(range(6)))  # 24 scenarios
+        digests = [s.digest for s in expand_scenarios(spec)]
+        retries = 12
+
+        def survivable(seed):
+            chaos = ChaosSpec(seed=seed, crash_p=0.5)
+            return not any(
+                all(chaos.decide(d, a) == "crash" for a in range(retries + 1))
+                for d in digests
+            )
+
+        seeds = [s for s in range(100) if survivable(s)][:3]
+        run_campaign(spec, tmp_path / "clean.jsonl")
+        want = _clean(tmp_path / "clean.jsonl")
+        with watchdog(120):
+            for seed in seeds:
+                path = tmp_path / f"kills-{seed}.jsonl"
+                summary = run_campaign(
+                    spec, path, workers=2, batch=1, retries=retries,
+                    retry_backoff=0.01,
+                    chaos=ChaosSpec(seed=seed, crash_p=0.5),
+                )
+                assert summary["quarantined"] == 0
+                assert summary["faults"]["crashes"] >= 10
+                assert _clean(path) == want
 
     def test_hang_hits_timeout_and_retries(self, tmp_path, digests):
         # Same trick for hangs: attempt 0 of some scenario sleeps past
