@@ -58,8 +58,8 @@ WORKER_FUNCTIONS = frozenset({
     "_worker_main",
     "_apply_override",
     "_run_group",
-    "_run_group_shm",
-    "_run_group_shm_inner",
+    "_run_group_task",
+    "_run_group_task_inner",
     "_group_reports",
     "_record",
     "_telemetry",

@@ -336,10 +336,10 @@ class QuarantineStore:
         """Scenario hashes currently quarantined (the resume skip-set)."""
         return {failure.hash for failure in self.records()}
 
-    def get(self, scenario_hash: str) -> TaskFailure | None:
+    def get(self, digest: str) -> TaskFailure | None:
         """The failure record of one hash (prefix match), or ``None``."""
         for failure in self.records():
-            if failure.hash.startswith(scenario_hash):
+            if failure.hash.startswith(digest):
                 return failure
         return None
 

@@ -17,7 +17,8 @@ Three layers of batching and caching keep the sweep hot:
   ``batch`` scenarios) runs as one
   :func:`~repro.sim.batch.simulate_batch` call: one compiled network,
   one pass over the cycle loop, bit-identical per-scenario reports.
-  ``batch=1`` recovers the per-scenario dispatch exactly.
+  A single-scenario group runs through ``simulate``, itself a batch of
+  one on the same path, so ``batch=1`` dispatches per scenario.
 * **Warm persistent workers.**  Pool workers live for the whole sweep
   and start hot: the pool initializer grows the digest-keyed
   compiled-network LRU (:func:`repro.sim.compiled.ensure_compile_cache_min`)
@@ -26,16 +27,11 @@ Three layers of batching and caching keep the sweep hot:
   fused JIT loop (:func:`repro.sim.kernels.warm_jit`) so no slab pays
   the one-time compile.  Network resolution is additionally memoized per
   process by catalog entry / file content digest.
-* **Zero-copy result return.**  With ``workers > 1`` each group task
-  allocates one ``multiprocessing.shared_memory`` metric buffer, writes
-  every numeric report field (counters, latency summary, per-stage
-  utilization) straight into it and returns only the buffer name.  The
-  parent reassembles the :class:`~repro.sim.metrics.SimReport` values
-  from the buffer plus the specs it already holds, then unlinks it —
-  nothing a report contains is pickled through the pool pipe, and only
-  in-flight results (never the whole sweep) hold segments.  The classic
-  pickled-record path remains as the fallback (``zero_copy=False`` or
-  ``REPRO_CAMPAIGN_SHM=0``) and produces byte-identical stores.
+* **Pickled result return.**  A pool task returns its group's store
+  records — the canonical scenario and report dicts, a few hundred bytes
+  per scenario — pickled through the worker's result pipe, alongside its
+  compile-cache delta and telemetry.  The parent appends them to the
+  store as they arrive.
 
 ``workers=1`` runs inline in the parent (no pool, easiest to debug and to
 interrupt deterministically in tests); ``workers>1`` dispatches through
@@ -75,8 +71,6 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Mapping
 
-import numpy as np
-
 from repro.core.errors import ReproError
 from repro.campaign import supervisor as sup
 from repro.campaign.chaos import ChaosSpec, chaos_from_env, parse_chaos
@@ -106,20 +100,6 @@ __all__ = ["run_campaign", "run_scenario"]
 
 _log = get_logger("campaign")
 
-#: Environment kill-switch for the shared-memory result path.
-SHM_ENV = "REPRO_CAMPAIGN_SHM"
-
-# Numeric SimReport fields shipped through the shared-memory matrix, in
-# column order; the variable-length stage_utilization tail follows.
-_SHM_FIELDS = (
-    "n_stages", "size", "cycles", "drain_cycles", "seed",
-    "offered", "injected", "delivered", "dropped", "unroutable",
-    "blocked_moves", "in_flight", "total_hops",
-    "mean_latency", "p99_latency", "elapsed",
-)
-_SHM_FLOAT_FIELDS = frozenset({"mean_latency", "p99_latency", "elapsed"})
-_SHM_INT_FIELDS = frozenset(_SHM_FIELDS) - _SHM_FLOAT_FIELDS
-
 
 def _as_spec(scenario) -> ScenarioSpec:
     """Coerce any accepted scenario form into a :class:`ScenarioSpec`."""
@@ -127,9 +107,6 @@ def _as_spec(scenario) -> ScenarioSpec:
         return scenario
     if isinstance(scenario, Mapping):
         return ScenarioSpec.from_spec(scenario)
-    spec = getattr(scenario, "spec", None)  # deprecated Scenario shim
-    if isinstance(spec, ScenarioSpec):
-        return spec
     raise ReproError(
         f"expected a ScenarioSpec or its wire dict, got {scenario!r}"
     )
@@ -156,10 +133,11 @@ def _record(spec: ScenarioSpec, report: SimReport) -> dict:
 def _group_reports(specs: list[ScenarioSpec]) -> list[SimReport]:
     """Run one batch-compatible scenario group.
 
-    Single-scenario groups take the sequential path; larger groups run
-    as one :func:`~repro.sim.batch.simulate_batch` call.  Either way the
-    reports are bit-identical (wall-clock ``elapsed`` aside), so nothing
-    the aggregates consume depends on the grouping.
+    A single-scenario group runs through ``simulate`` (a batch of one);
+    larger groups run as one :func:`~repro.sim.batch.simulate_batch`
+    call.  Either way the reports are bit-identical (wall-clock
+    ``elapsed`` aside), so nothing the aggregates consume depends on the
+    grouping.
     """
     if len(specs) == 1:
         return [run_scenario(specs[0])]
@@ -167,118 +145,32 @@ def _group_reports(specs: list[ScenarioSpec]) -> list[SimReport]:
 
 
 def _run_group(specs: list[ScenarioSpec]) -> list[dict]:
-    """Pool task (pickled-record path): a scenario group → store records."""
-    return [
-        _record(s, rep) for s, rep in zip(specs, _group_reports(specs))
-    ]
-
-
-# -- shared-memory result path ---------------------------------------------
-
-
-def _write_row(row: np.ndarray, report: SimReport) -> None:
-    """Serialize one report's numeric fields into a float64 matrix row.
-
-    Integer counters must survive the float64 trip exactly; they sit far
-    below 2**53 in any realistic run, but a value that would round is a
-    loud error here rather than a silently corrupted store.
-    """
-    for k, field in enumerate(_SHM_FIELDS):
-        value = getattr(report, field)
-        row[k] = value
-        if field in _SHM_INT_FIELDS and int(row[k]) != value:
-            raise ReproError(
-                f"report field {field}={value} does not round-trip "
-                "through the shared-memory buffer; rerun with "
-                "zero_copy=False"
-            )
-    row[len(_SHM_FIELDS):] = report.stage_utilization
-
-
-def _report_from_row(spec: ScenarioSpec, row: np.ndarray) -> SimReport:
-    """Rebuild a report from its shared-memory row plus its spec.
-
-    Counters round-trip exactly (they sit far below 2**53) and the
-    latency summaries / utilizations / ``elapsed`` are float64 on both
-    sides, so the result is bit-identical to the worker's report.  The
-    descriptive fields never crossed the pipe: the label, policy and
-    traffic description are recomputed from the spec — deterministic
-    functions of it, which is what makes the zero-copy path safe.
-    """
-    values = {
-        field: (
-            int(value) if field in _SHM_INT_FIELDS else float(value)
-        )
-        for field, value in zip(_SHM_FIELDS, row)
-    }
-    return SimReport(
-        network=spec.label,
-        policy=spec.sim.policy,
-        traffic=spec.traffic.resolve().describe(),
-        rate=spec.traffic.rate,
-        stage_utilization=tuple(
-            float(u) for u in row[len(_SHM_FIELDS):]
-        ),
-        **values,
-    )
-
-
-def _decode_payload(specs: list[ScenarioSpec], payload) -> list[dict]:
-    """Turn a pool result payload into store records.
-
-    A zero-copy ``("shm", name, rows, cols)`` payload is read out of
-    its shared-memory segment (then unlinked); a pickled payload is
-    already the record list.
-    """
-    if isinstance(payload, tuple) and payload[0] == "shm":
-        from multiprocessing import shared_memory
-
-        _, name, rows, cols = payload
-        shm = shared_memory.SharedMemory(name=name)
-        try:
-            mat = np.ndarray(
-                (rows, cols), dtype=np.float64, buffer=shm.buf
-            ).copy()
-        finally:
-            shm.close()
-            shm.unlink()
+    """Run a scenario group inside a ``group`` span → store records."""
+    with obs.span("group", scenarios=len(specs)):
         return [
-            _record(s, _report_from_row(s, row))
-            for s, row in zip(specs, mat)
+            _record(s, rep) for s, rep in zip(specs, _group_reports(specs))
         ]
-    return payload
 
 
-def _run_group_shm(task) -> tuple:
-    """Pool task: run a scenario group, return results zero-copy.
+def _run_group_task(task) -> tuple:
+    """Pool task: run a scenario group, return its records pickled.
 
     Exceptions cross the process boundary as
     :class:`~repro.campaign.errors.RemoteTaskError` carrying the
     *formatted* child traceback — pickling through the pool's result
     pipe strips ``__traceback__``, so without the wrap an abort-mode
     failure would surface only the parent's re-raise frame.
-
-    With ``use_shm`` the worker allocates one shared-memory metric
-    buffer sized to the group, writes every numeric report field into it
-    and returns only ``("shm", name, rows, cols)`` — the records
-    themselves never cross the pipe, and at most a handful of segments
-    exist at any moment (one per in-flight result, not one per task).
-    The parent reads and unlinks the segment; parent and workers share
-    one resource-tracker process (fork inherits it, spawn passes its fd),
-    so the single create-register / unlink-unregister pair balances and
-    crash leftovers are swept at interpreter exit.  ``use_shm=False``
-    degrades to the classic pickled-record payload.
     """
     try:
-        return _run_group_shm_inner(task)
+        return _run_group_task_inner(task)
     except RemoteTaskError:
         raise
     except Exception as exc:
         raise RemoteTaskError.from_exception(exc) from exc
 
 
-def _run_group_shm_inner(task) -> tuple:
-    idx, specs, use_shm, dispatch_ts = task
+def _run_group_task_inner(task) -> tuple:
+    specs, dispatch_ts = task
     t0 = time.perf_counter()
     if obs.enabled() and dispatch_ts is not None:
         metrics().histogram("campaign.queue_wait_s").observe(
@@ -289,36 +181,14 @@ def _run_group_shm_inner(task) -> tuple:
             max(0.0, time.time() - dispatch_ts)
         )
     before = compile_cache_info()
-    with obs.span("group", scenarios=len(specs)):
-        reports = _group_reports(specs)
+    records = _run_group(specs)
     after = compile_cache_info()
     delta = (
         after["hits"] - before["hits"],
         after["misses"] - before["misses"],
     )
     tele = _telemetry(len(specs), time.perf_counter() - t0)
-    if not use_shm:
-        return (
-            idx,
-            [_record(s, r) for s, r in zip(specs, reports)],
-            delta,
-            tele,
-        )
-    from multiprocessing import shared_memory
-
-    cols = len(_SHM_FIELDS) + reports[0].n_stages
-    rows = len(specs)
-    shm = shared_memory.SharedMemory(create=True, size=rows * cols * 8)
-    try:
-        mat = np.ndarray((rows, cols), dtype=np.float64, buffer=shm.buf)
-        for i, report in enumerate(reports):
-            _write_row(mat[i], report)
-    except BaseException:
-        shm.close()
-        shm.unlink()
-        raise
-    shm.close()
-    return idx, ("shm", shm.name, rows, cols), delta, tele
+    return records, delta, tele
 
 
 def _note_group(n_scenarios: int, busy_s: float) -> None:
@@ -405,7 +275,6 @@ def run_campaign(
     base_dir: str | Path | None = None,
     progress: Callable[[dict, int, int], None] | None = None,
     backend: str | None = None,
-    zero_copy: bool | None = None,
     heartbeat: float | None = None,
     task_timeout: float | None = None,
     retries: int = 2,
@@ -449,10 +318,6 @@ def run_campaign(
         (``"auto"``/``"numpy"``/``"numba"``; ``None`` keeps the specs'
         own ``sim.backend``).  Execution hint only — digests, stores and
         reports are identical across backends.
-    zero_copy:
-        Return pool results through preallocated shared-memory metric
-        buffers instead of pickled report records.  Default (``None``):
-        enabled for ``workers > 1`` unless ``REPRO_CAMPAIGN_SHM=0``.
     heartbeat:
         Seconds between atomic-rename progress heartbeats written next
         to the store (``<stem>.heartbeat.json`` — see
@@ -707,8 +572,7 @@ def run_campaign(
                         for s in specs
                     ]
                 t0 = time.perf_counter()
-                with obs.span("group", scenarios=len(specs)):
-                    records = _run_group(specs)
+                records = _run_group(specs)
                 busy = time.perf_counter() - t0
                 if traced:
                     _note_group(len(specs), busy)
@@ -731,19 +595,11 @@ def run_campaign(
             cache_hits = after["hits"] - before["hits"]
             cache_misses = after["misses"] - before["misses"]
         elif supervised:
-            if zero_copy is None:
-                zero_copy = os.environ.get(SHM_ENV, "1").strip() != "0"
-            if zero_copy:
-                from multiprocessing import resource_tracker
-
-                resource_tracker.ensure_running()
-
-            def _on_result_pool(task, payload, delta, tele) -> None:
+            def _on_result_pool(task, records, delta, tele) -> None:
                 nonlocal cache_hits, cache_misses
                 cache_hits += delta[0]
                 cache_misses += delta[1]
                 _ingest(tele)
-                records = _decode_payload(list(task.specs), payload)
                 with obs.span("store", scenarios=len(records)):
                     for record in records:
                         _store(record)
@@ -762,7 +618,6 @@ def run_campaign(
                 cfg=sup_cfg,
                 init_args=(cache_max, warm_numba, traced),
                 chaos=chaos,
-                use_shm=zero_copy,
                 dispatch_ts_factory=(
                     (lambda: time.time()) if traced else (lambda: None)
                 ),
@@ -777,43 +632,21 @@ def run_campaign(
             # RemoteTaskError carrying the child traceback) and a
             # crashed worker breaks the pool.  Kept as the supervisor's
             # overhead baseline (bench_campaign) and escape hatch.
-            if zero_copy is None:
-                zero_copy = os.environ.get(SHM_ENV, "1").strip() != "0"
-            if zero_copy:
-                # Start the resource tracker BEFORE the pool forks:
-                # workers then inherit its fd and register their
-                # segments with the one shared tracker, where the
-                # parent's unlink balances the books.  Forked without
-                # it, every worker would lazily spawn a private tracker
-                # that warns about (already-unlinked) "leaked" segments
-                # at shutdown.
-                from multiprocessing import resource_tracker
-
-                resource_tracker.ensure_running()
             dispatch_ts = time.time() if traced else None
-            args = [
-                (i, specs, zero_copy, dispatch_ts)
-                for i, specs in enumerate(tasks)
-            ]
-            # Group tasks are heavy (a whole simulate_batch slab), so
-            # chunked dispatch buys nothing — and on the zero-copy path
-            # a chunk would hold every segment it created until the last
-            # task finishes, instead of one per in-flight result.
-            chunksize = (
-                1 if zero_copy else max(1, len(tasks) // (workers * 4))
-            )
+            args = [(specs, dispatch_ts) for specs in tasks]
             with multiprocessing.Pool(
                 processes=workers,
                 initializer=_worker_init,
                 initargs=(cache_max, warm_numba, traced),
             ) as pool:
-                for idx, payload, delta, tele in pool.imap_unordered(
-                    _run_group_shm, args, chunksize=chunksize
+                # Group tasks are heavy (a whole simulate_batch slab),
+                # so chunked dispatch buys nothing.
+                for records, delta, tele in pool.imap_unordered(
+                    _run_group_task, args, chunksize=1
                 ):
                     cache_hits += delta[0]
                     cache_misses += delta[1]
                     _ingest(tele)
-                    records = _decode_payload(tasks[idx], payload)
                     with obs.span("store", scenarios=len(records)):
                         for record in records:
                             _store(record)

@@ -109,7 +109,7 @@ class ResultStore:
             fh.truncate(keep)
 
     def append(
-        self, scenario_hash: str, scenario: Mapping, report: Mapping
+        self, digest: str, scenario: Mapping, report: Mapping
     ) -> None:
         """Append one completed scenario record and flush it to disk.
 
@@ -122,7 +122,7 @@ class ResultStore:
         """
         self._ensure_header()
         record = {
-            "hash": scenario_hash,
+            "hash": digest,
             "scenario": dict(scenario),
             "report": dict(report),
         }
@@ -353,8 +353,8 @@ class ResultStore:
     def __len__(self) -> int:
         return sum(1 for _ in self.records())
 
-    def __contains__(self, scenario_hash: str) -> bool:
-        return scenario_hash in self.hashes()
+    def __contains__(self, digest: str) -> bool:
+        return digest in self.hashes()
 
     def __repr__(self) -> str:
         return f"ResultStore({str(self.path)!r})"

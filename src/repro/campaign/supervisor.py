@@ -260,8 +260,8 @@ def _worker_main(inq, results, init_args, chaos: ChaosSpec | None) -> None:
     own pipe, written synchronously: a message is fully in the pipe
     before the next task starts.  A kill mid-write (a timeout kill can
     land at any point) can truncate only this worker's pipe, which the
-    parent reads to its end and replaces on respawn; no lock is shared
-    with the other workers.
+    parent replaces on respawn; no lock is shared with the other
+    workers.
     """
     from repro.campaign import runner
 
@@ -270,7 +270,7 @@ def _worker_main(inq, results, init_args, chaos: ChaosSpec | None) -> None:
         msg = inq.get()
         if msg is None:
             return
-        task_id, specs, attempt, backend_override, use_shm, dispatch_ts = msg
+        task_id, specs, attempt, backend_override, dispatch_ts = msg
         try:
             if chaos:
                 chaos.apply(
@@ -279,10 +279,10 @@ def _worker_main(inq, results, init_args, chaos: ChaosSpec | None) -> None:
                     backend=backend_override,
                 )
             specs = _apply_override(specs, backend_override)
-            _, payload, delta, tele = runner._run_group_shm(
-                (task_id, list(specs), use_shm, dispatch_ts)
+            records, delta, tele = runner._run_group_task(
+                (list(specs), dispatch_ts)
             )
-            results.send(("ok", task_id, os.getpid(), payload, delta, tele))
+            results.send(("ok", task_id, os.getpid(), records, delta, tele))
         except Exception as exc:  # noqa: BLE001 — shipped, not swallowed
             if isinstance(exc, RemoteTaskError):
                 traceback_text = exc.remote_traceback
@@ -355,13 +355,13 @@ class _Worker:
     def pid(self) -> int | None:
         return self.proc.pid
 
-    def dispatch(self, task: Task, use_shm: bool, dispatch_ts) -> None:
+    def dispatch(self, task: Task, dispatch_ts) -> None:
         if not self.inflight:
             self.started = time.monotonic()
         self.inflight.append(task)
         self.inq.put((
             task.id, list(task.specs), task.attempt,
-            task.backend_override, use_shm, dispatch_ts,
+            task.backend_override, dispatch_ts,
         ))
 
     def kill(self) -> None:
@@ -476,7 +476,6 @@ def run_supervised(
     cfg: SupervisorConfig,
     init_args,
     chaos: ChaosSpec | None,
-    use_shm: bool,
     dispatch_ts_factory,
     on_result,
     on_failure,
@@ -486,7 +485,7 @@ def run_supervised(
     """Run group tasks over a supervised worker pool; return stats.
 
     ``tasks`` is a list of spec tuples (one per group).  ``on_result``
-    receives ``(task, payload, delta, tele)`` exactly once per
+    receives ``(task, records, delta, tele)`` exactly once per
     completed scenario set; ``on_failure`` receives each terminal
     :class:`TaskFailure` (raising inside it aborts the sweep — the
     pool is torn down and the exception propagates).  ``on_dispatch``
@@ -525,26 +524,14 @@ def run_supervised(
         if task is None or task_id in completed_ids:
             # A late echo of a task the supervisor already retired
             # (result raced a timeout kill, or a duplicate after
-            # bisection).  Replacements recompute deterministically;
-            # dropping the echo cannot lose data — but a zero-copy
-            # payload still owns a shared-memory segment to release.
-            if status == "ok":
-                payload = msg[3]
-                if isinstance(payload, tuple) and payload[0] == "shm":
-                    from multiprocessing import shared_memory
-
-                    try:
-                        seg = shared_memory.SharedMemory(name=payload[1])
-                        seg.close()
-                        seg.unlink()
-                    except FileNotFoundError:
-                        pass
+            # bisection).  Replacements recompute deterministically,
+            # so dropping the echo cannot lose data.
             return
         completed_ids.add(task_id)
         if status == "ok":
-            _, _, _, payload, delta, tele = msg
+            _, _, _, records, delta, tele = msg
             sched.complete(task)
-            on_result(task, payload, delta, tele)
+            on_result(task, records, delta, tele)
         else:
             _, _, _, info = msg
             sched.fail(task, info, now)
@@ -562,7 +549,7 @@ def run_supervised(
                     task = sched.pop_ready()
                     if task is None:
                         break
-                    worker.dispatch(task, use_shm, dispatch_ts_factory())
+                    worker.dispatch(task, dispatch_ts_factory())
                     if on_dispatch is not None:
                         on_dispatch(worker.pid, task)
             inflight = [w for w in pool if w.inflight]
@@ -635,7 +622,6 @@ def run_supervised(
                         head.id, cfg.task_timeout, pid,
                     )
                     worker.kill()
-                    _drain(worker)  # releases what a raced result holds
                     _respawn(worker)
                     for task in queued:
                         if task.id not in completed_ids:

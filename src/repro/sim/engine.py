@@ -1,4 +1,4 @@
-"""The vectorized cycle-based packet simulator.
+"""The cycle-based packet simulator: model, entry point and port schedules.
 
 Model
 -----
@@ -17,20 +17,16 @@ stage holds at most ``N = 2M`` packets.  A cycle proceeds back-to-front:
 Contention is resolved oldest-packet-first (ties to slot 0), which makes
 runs deterministic and guarantees drain progress.  Losers are discarded
 under the ``"drop"`` policy and held in place under the ``"block"``
-policy (block-and-retry with back-pressure onto the sources).  All
-per-stage work is whole-cohort NumPy, so a cycle costs ``O(n)`` vector
-operations of width ``M × 2`` — the hot path the throughput benchmarks
-track.
+policy (block-and-retry with back-pressure onto the sources).
 
-The engine is split into a *compile* phase and a *run* phase: everything
-that depends only on ``(topology, faults)`` — port tables, alive masks,
-child/slot tables, reachability — lives in a cached
+:func:`simulate` is a batch of one: it resolves its inputs and hands a
+single scenario to the orchestration path of :mod:`repro.sim.batch`,
+which generates the traffic, compiles the network, runs one kernel call
+and builds the report.  Everything that depends only on
+``(topology, faults)`` — port tables, alive masks, child/slot tables,
+reachability — lives in a cached
 :class:`~repro.sim.compiled.CompiledNetwork`, so repeated runs on one
-network skip that work entirely.  Packet state uses ``int32`` and port
-arithmetic ``int8``, halving the cycle kernels' working set.  For
-many-scenario sweeps over one topology, see
-:func:`repro.sim.batch.simulate_batch`, which runs a whole scenario slab
-through batched variants of these kernels.
+network skip that work entirely.
 
 The cycle loop itself runs on a pluggable *kernel backend*
 (:mod:`repro.sim.kernels`): the ``numpy`` reference kernels, or the
@@ -50,19 +46,15 @@ the looping algorithm's switch settings instead.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.core.errors import ReproError
 from repro.core.midigraph import MIDigraph
 from repro.obs import trace as obs
-from repro.obs.manifest import RunManifest
-from repro.obs.metrics import metrics
+from repro.sim.batch import BatchScenario, _simulate_slab
 from repro.sim.compiled import compile_network, ensure_compile_cache_min
 from repro.sim.faults import FaultSet
-from repro.sim.kernels import get_backend, resolve_backend
-from repro.sim.metrics import SimReport, latency_summary
+from repro.sim.metrics import SimReport
 from repro.sim.traffic import TrafficPattern
 
 __all__ = [
@@ -70,8 +62,6 @@ __all__ = [
     "schedule_from_switch_settings",
     "simulate",
 ]
-
-_POLICIES = ("drop", "block")
 
 
 def schedule_from_switch_settings(
@@ -196,8 +186,12 @@ def simulate(
       spec is an error (build a new spec instead — they are cheap and
       frozen).
     * ``simulate(net, traffic, **kwargs)`` — the low-level engine form
-      for callers that already hold concrete objects (the batch kernels,
-      the property tests, port-schedule experiments).
+      for callers that already hold concrete objects (the property
+      tests, port-schedule experiments).
+
+    Either way the run is a batch of one through
+    :mod:`repro.sim.batch`, so its report equals that scenario's report
+    from any ``simulate_batch`` slab (``elapsed`` aside).
 
     Parameters
     ----------
@@ -238,10 +232,10 @@ def simulate(
     """
     from repro.spec.scenario import ScenarioSpec
 
-    spec_digest = None
+    digests = ()
     if isinstance(net, ScenarioSpec):
         if obs.enabled():
-            spec_digest = net.digest
+            digests = (net.digest,)
         overrides = (cycles, policy, seed, faults, drain, network_name)
         if traffic is not None or any(v is not None for v in overrides):
             raise ReproError(
@@ -262,126 +256,21 @@ def simulate(
             "simulate(net, traffic, ...) needs a TrafficPattern (or "
             "pass a single ScenarioSpec)"
         )
-    cycles = 1000 if cycles is None else cycles
-    policy = "drop" if policy is None else policy
-    seed = 0 if seed is None else seed
-    drain = False if drain is None else drain
-    if cycles <= 0:
-        raise ReproError(f"cycles must be positive, got {cycles}")
-    if policy not in _POLICIES:
-        raise ReproError(f"policy must be one of {_POLICIES}, got {policy!r}")
-    n = net.n_stages
-    size = net.size
-    n_in = net.n_inputs
-
-    sched = _check_port_schedule(port_schedule, n, n_in)
-
-    # Telemetry (off by default, near-free when off): the whole run is
-    # one `simulate` span with traffic/compile/run phase children; the
-    # phase durations become the report's `timings` breakdown, and a
-    # top-level traced call additionally stamps a RunManifest.
-    top_level = obs.enabled() and obs.current_span() is None
-    with obs.span("simulate", cycles=cycles, policy=policy) as root:
-        with obs.span("traffic") as sp_traffic:
-            rng = np.random.default_rng(seed)
-            tmat = traffic.destinations(rng, n_in, cycles)
-        if tmat.shape != (cycles, n_in):
-            raise ReproError(
-                f"traffic schedule has shape {tmat.shape}, expected "
-                f"({cycles}, {n_in})"
-            )
-        if int(tmat.max()) >= n_in:
-            raise ReproError("traffic destination outside the output range")
-
-        with obs.span("compile") as sp_compile:
-            comp = compile_network(net, faults)
-        kern = get_backend(backend)
-
-        with obs.span("run") as sp_run:
-            start = time.perf_counter()
-            run = kern.run_single(
-                comp, tmat, sched, cycles, policy == "drop", drain
-            )
-            elapsed = time.perf_counter() - start
-        resolved = None
-        if obs.enabled():
-            resolved = resolve_backend(backend)
-            root.set(backend=resolved, stages=n, size=size)
-            root.add("offered", int(run.offered))
-            root.add("delivered", int(run.delivered))
-
-    timings = None
-    if obs.enabled():
-        timings = {
-            "traffic": sp_traffic.dur,
-            "compile": sp_compile.dur,
-            "run": sp_run.dur,
-            "total": root.dur,
-        }
-        m = metrics()
-        m.counter("sim.runs").add()
-        m.counter("sim.cycles").add(cycles + run.drain_cycles)
-        m.counter("sim.delivered").add(int(run.delivered))
-        if elapsed > 0:
-            m.histogram("sim.cycles_per_s").observe(
-                (cycles + run.drain_cycles) / elapsed
-            )
-
-    mean_lat, p99_lat = latency_summary(run.latencies)
-
-    name = network_name
-    if name is None:
-        name = f"midigraph(n={n}, M={size})"
-    if top_level:
-        obs.active().emit_manifest(
-            RunManifest.collect(
-                "simulate",
-                [spec_digest] if spec_digest else [],
-                backend=resolved,
-                timings=timings,
-                network=name,
-            )
-        )
-    return SimReport(
-        network=name,
-        n_stages=n,
-        size=size,
-        cycles=cycles,
-        drain_cycles=run.drain_cycles,
-        policy=policy,
-        traffic=traffic.describe(),
-        rate=traffic.rate,
-        seed=seed,
-        offered=run.offered,
-        injected=run.injected,
-        delivered=run.delivered,
-        dropped=run.dropped,
-        unroutable=run.unroutable,
-        blocked_moves=run.blocked_moves,
-        in_flight=run.in_flight,
-        total_hops=run.total_hops,
-        mean_latency=mean_lat,
-        p99_latency=p99_lat,
-        stage_utilization=tuple(
-            float(o) for o in run.occupancy / (cycles * 2 * size)
-        ),
-        elapsed=elapsed,
-        timings=timings,
+    scenario = BatchScenario(
+        traffic=traffic,
+        seed=0 if seed is None else seed,
+        port_schedule=port_schedule,
     )
-
-
-def _check_port_schedule(
-    port_schedule: np.ndarray | None, n: int, n_in: int
-) -> np.ndarray | None:
-    """Validate and normalize a per-source port schedule (int8)."""
-    if port_schedule is None:
-        return None
-    sched = np.asarray(port_schedule)
-    if sched.shape != (n, n_in):
-        raise ReproError(
-            f"port_schedule must have shape ({n}, {n_in}), "
-            f"got {sched.shape}"
-        )
-    if sched.min() < 0 or sched.max() > 1:
-        raise ReproError("port_schedule entries must be 0 or 1")
-    return sched.astype(np.int8)
+    (report,) = _simulate_slab(
+        net,
+        [scenario],
+        cycles=cycles,
+        policy=policy,
+        faults=faults,
+        drain=drain,
+        network_name=network_name,
+        backend=backend,
+        kind="simulate",
+        digests=digests,
+    )
+    return report

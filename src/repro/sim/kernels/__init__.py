@@ -1,24 +1,26 @@
 """Pluggable simulation kernel backends.
 
-The cycle-based simulator is split into a thin orchestration layer
-(:mod:`repro.sim.engine` / :mod:`repro.sim.batch` — validation, traffic
-materialization, report assembly) and *kernel backends* that run the hot
-``(cycles × stages)`` loop over a :class:`~repro.sim.compiled.CompiledNetwork`'s
-frozen int32/int8 tables:
+The cycle-based simulator is split into one orchestration path
+(:mod:`repro.sim.batch` — validation, traffic materialization, report
+assembly; ``simulate`` is a batch of one) and *kernel backends* that run
+the hot ``(cycles × stages)`` loop over a
+:class:`~repro.sim.compiled.CompiledNetwork`'s frozen int32/int8 tables:
 
 ``numpy``
-    The reference backend: the whole-cohort vectorized kernels the engine
-    has always run — one NumPy dispatch per stage phase per cycle.
+    The reference backend: packet-compacted flat-index kernels over a
+    scenario slab — one NumPy dispatch per stage phase per cycle for the
+    whole batch.
 ``numba``
     The fused backend: the entire cycle loop — inject, per-stage move
     with contention/ambiguity/fault handling, eject, drain — is one
-    ``@njit(nopython)`` function with no interpreter dispatch inside.
-    Requires the optional ``numba`` package (``pip install -e .[fast]``).
+    ``@njit(nopython)`` function with no interpreter dispatch inside,
+    run once per scenario of the slab.  Requires the optional ``numba``
+    package (``pip install -e .[fast]``).
 
-Both backends implement the same two entry points and are **bit-identical**
-in every report field except wall-clock ``elapsed`` (property-tested):
+Each backend has one entry point, and the backends are
+**bit-identical** in every report field except wall-clock ``elapsed``
+(property-tested):
 
-* ``run_single(comp, tmat, sched, cycles, drop, drain) -> SingleRun``
 * ``run_batch(comp, tmats, scheds, cycles, drop, drain) -> BatchRun``
 
 Backend selection flows through one function, :func:`resolve_backend`:
@@ -38,13 +40,12 @@ import os
 import numpy as np
 
 from repro.core.errors import ReproError
-from repro.sim.kernels.results import BatchRun, SingleRun
+from repro.sim.kernels.results import BatchRun
 from repro.sim.kernels import numba_backend, numpy_backend
 
 __all__ = [
     "BACKEND_CHOICES",
     "BatchRun",
-    "SingleRun",
     "available_backends",
     "get_backend",
     "numba_available",
@@ -131,7 +132,6 @@ def warm_jit() -> bool:
 
     with obs.span("warm_jit"):
         comp = CompiledNetwork(omega(2), FaultSet())
-        tmat = np.zeros((1, comp.n_inputs), dtype=np.int32)
-        numba_backend.run_single(comp, tmat, None, 1, True, True)
-        numba_backend.run_batch(comp, tmat[:, None, :], None, 1, True, False)
+        tmats = np.zeros((1, 1, comp.n_inputs), dtype=np.int32)
+        numba_backend.run_batch(comp, tmats, None, 1, True, True)
     return True

@@ -1,7 +1,7 @@
-"""Raw kernel-run result containers shared by every backend.
+"""The raw kernel-run result container shared by every backend.
 
 Split out of :mod:`repro.sim.kernels` so backend modules can import the
-types without importing the selection layer (which imports the backends).
+type without importing the selection layer (which imports the backends).
 """
 
 from __future__ import annotations
@@ -10,32 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["BatchRun", "SingleRun"]
-
-
-@dataclass
-class SingleRun:
-    """Raw outcome of one single-scenario kernel run.
-
-    Everything :class:`~repro.sim.metrics.SimReport` needs except the
-    descriptive fields the orchestration layer already holds; counters
-    follow the report's semantics exactly.  ``latencies`` lists the
-    delivered packets' latencies *in delivery order* — the order is part
-    of the cross-backend contract so the summary statistics can never
-    disagree.
-    """
-
-    offered: int
-    injected: int
-    delivered: int
-    dropped: int
-    unroutable: int
-    blocked_moves: int
-    total_hops: int
-    in_flight: int
-    drain_cycles: int
-    occupancy: np.ndarray
-    latencies: np.ndarray
+__all__ = ["BatchRun"]
 
 
 @dataclass
@@ -45,7 +20,9 @@ class BatchRun:
     Per-scenario counter arrays of shape ``(B,)``, per-stage occupancy
     ``(n, B)``, and the latency stream partitioned by scenario:
     ``lat_sorted[lat_bounds[i]:lat_bounds[i + 1]]`` is scenario ``i``'s
-    delivered-packet latencies in delivery order.
+    delivered-packet latencies in delivery order — the order is part of
+    the cross-backend contract, so the summary statistics can never
+    disagree.
     """
 
     offered: np.ndarray

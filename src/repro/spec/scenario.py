@@ -13,8 +13,8 @@ through the frozen dataclasses here:
 
 Each spec round-trips through canonical JSON (``to_spec``/``from_spec``
 are exact inverses), carries a stable content :attr:`ScenarioSpec.digest`
-(the identity the campaign result store is keyed by — the successor of
-the old ``campaign.scenario_hash``) and resolves to concrete simulator
+(the identity the campaign result store is keyed by, unchanged since
+the first campaign stores) and resolves to concrete simulator
 inputs via registry lookup (:meth:`ScenarioSpec.resolve`).  The CLI,
 ``simulate``, ``simulate_batch`` and the campaign workers all construct
 and consume these objects; nothing else in the repo hand-rolls topology
@@ -99,8 +99,8 @@ def scenario_digest(doc: Mapping) -> str:
     and label identify the network), so resuming from a different
     working directory or via a different relative path still matches.
 
-    This is the same function (bit for bit) as the pre-spec-layer
-    ``campaign.scenario_hash``; stores written before the redesign keep
+    This is the same function (bit for bit) as the campaign hash that
+    predates the spec layer; stores written before the redesign keep
     their keys.
     """
     doc = {k: doc[k] for k in doc}

@@ -779,7 +779,7 @@ class TestTrafficSpecs:
 
 
 class TestZeroCopyWorkers:
-    """The shared-memory result path vs inline and pickled dispatch."""
+    """Pool workers, which return pickled records, vs inline dispatch."""
 
     def _clean(self, path) -> dict:
         return {
@@ -787,47 +787,25 @@ class TestZeroCopyWorkers:
             for r in load_records(path)
         }
 
-    def test_shm_pool_matches_inline(self, tmp_path):
+    def test_pickled_pool_matches_inline(self, tmp_path):
         spec = tiny_spec()
         run_campaign(spec, tmp_path / "inline.jsonl", workers=1)
-        summary = run_campaign(
-            spec, tmp_path / "shm.jsonl", workers=2, zero_copy=True
+        summary = run_campaign(spec, tmp_path / "pool.jsonl", workers=2)
+        run_campaign(
+            spec, tmp_path / "legacy.jsonl", workers=2, supervised=False
         )
-        assert self._clean(tmp_path / "inline.jsonl") == self._clean(
-            tmp_path / "shm.jsonl"
-        )
+        inline = self._clean(tmp_path / "inline.jsonl")
+        assert self._clean(tmp_path / "pool.jsonl") == inline
+        assert self._clean(tmp_path / "legacy.jsonl") == inline
         assert summary["ran"] == 8
         # Worker-side compile activity is aggregated into the summary
         # (forked workers may inherit a warm cache: hits, not misses).
         cache = summary["compile_cache"]
         assert cache["hits"] + cache["misses"] >= 1
-
-    def test_shm_and_pickled_stores_are_byte_identical(self, tmp_path):
-        spec = tiny_spec(seeds=(0,))
-        run_campaign(
-            spec, tmp_path / "shm.jsonl", workers=2, zero_copy=True
-        )
-        run_campaign(
-            spec, tmp_path / "pickled.jsonl", workers=2, zero_copy=False
-        )
-        shm = sorted(load_records(tmp_path / "shm.jsonl"),
-                     key=lambda r: r["hash"])
-        pickled = sorted(load_records(tmp_path / "pickled.jsonl"),
-                         key=lambda r: r["hash"])
-        for a, b in zip(shm, pickled):
-            assert a["scenario"] == b["scenario"]
-            assert _deterministic(a["report"]) == _deterministic(b["report"])
         # The aggregate consumers see byte-identical results.
-        assert dumps_aggregate(shm) == dumps_aggregate(pickled)
-
-    def test_shm_env_killswitch(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_CAMPAIGN_SHM", "0")
-        spec = tiny_spec(seeds=(0,), faults=(0,))
-        run_campaign(spec, tmp_path / "env.jsonl", workers=2)
-        run_campaign(spec, tmp_path / "inline.jsonl", workers=1)
-        assert self._clean(tmp_path / "env.jsonl") == self._clean(
-            tmp_path / "inline.jsonl"
-        )
+        assert dumps_aggregate(
+            load_records(tmp_path / "pool.jsonl")
+        ) == dumps_aggregate(load_records(tmp_path / "inline.jsonl"))
 
     def test_backend_knob_does_not_change_results(self, tmp_path):
         spec = tiny_spec(seeds=(0,), faults=(0,))

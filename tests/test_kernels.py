@@ -169,13 +169,31 @@ def _traffic_for(name: str, rate: float, n_in: int, seed: int):
 ALL_PATTERNS = sorted(set(TRAFFIC_PATTERNS.names()) | {"permutation"})
 
 
-def _single_runs(net, traffic, cycles, drop, drain, faults, sched, seed):
-    rng = np.random.default_rng(seed)
-    tmat = traffic.destinations(rng, net.n_inputs, cycles)
+def _random_faults(net, n_cells, n_links, seed):
+    if not (n_cells or n_links):
+        return None
+    return FaultSet.random(
+        np.random.default_rng(seed ^ 0xFA117),
+        net.n_stages,
+        net.size,
+        n_dead_cells=n_cells,
+        n_dead_links=n_links,
+    )
+
+
+def _slab_runs(net, traffics, cycles, drop, drain, faults, scheds, seed):
+    """Both backends' raw runs of one slab: scenario ``i`` runs
+    ``traffics[i]`` seeded ``seed + i`` (and ``scheds[i]`` if given)."""
+    tmats = np.empty((cycles, len(traffics), net.n_inputs), dtype=np.int32)
+    for i, traffic in enumerate(traffics):
+        rng = np.random.default_rng(seed + i)
+        tmats[:, i] = traffic.destinations(rng, net.n_inputs, cycles)
+    if scheds is not None:
+        scheds = np.stack(scheds).astype(np.int8)
     comp = compile_network(net, faults)
-    ref = numpy_backend.run_single(comp, tmat, sched, cycles, drop, drain)
-    fused = numba_backend.run_single(
-        comp, tmat, sched, cycles, drop, drain, python=True
+    ref = numpy_backend.run_batch(comp, tmats, scheds, cycles, drop, drain)
+    fused = numba_backend.run_batch(
+        comp, tmats, scheds, cycles, drop, drain, python=True
     )
     return ref, fused
 
@@ -186,15 +204,23 @@ _COUNTERS = (
 )
 
 
-def _assert_single_identical(ref, fused):
+def _assert_runs_identical(ref, fused):
     for field in _COUNTERS:
-        assert getattr(ref, field) == getattr(fused, field), field
+        assert np.array_equal(getattr(ref, field), getattr(fused, field)), (
+            field
+        )
     assert np.array_equal(ref.occupancy, fused.occupancy)
-    assert np.array_equal(ref.latencies, fused.latencies)
+    assert np.array_equal(ref.lat_bounds, fused.lat_bounds)
+    assert np.array_equal(ref.lat_sorted, fused.lat_sorted)
 
 
 class TestFusedKernelSemantics:
-    """Python-mode fused loop vs the NumPy reference, all installs."""
+    """Python-mode fused loop vs the NumPy reference, all installs.
+
+    The fused loop is written independently of the packet-compacted
+    NumPy kernels, so it is the oracle for the one kernel entry point
+    both backends share, at B=1 (a ``simulate`` call) and B>1.
+    """
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -213,20 +239,12 @@ class TestFusedKernelSemantics:
         # benes exercises the ambiguous (-2) adaptive-port path, omega
         # the unique-path tables; faults exercise links/unroutable.
         net = benes(2) if multipath else omega(4)
-        faults = None
-        if n_cells or n_links:
-            faults = FaultSet.random(
-                np.random.default_rng(seed ^ 0xFA117),
-                net.n_stages,
-                net.size,
-                n_dead_cells=n_cells,
-                n_dead_links=n_links,
-            )
+        faults = _random_faults(net, n_cells, n_links, seed)
         traffic = _traffic_for(pattern, rate, net.n_inputs, seed)
-        ref, fused = _single_runs(
-            net, traffic, 30, drop, drain, faults, None, seed
+        ref, fused = _slab_runs(
+            net, [traffic], 30, drop, drain, faults, None, seed
         )
-        _assert_single_identical(ref, fused)
+        _assert_runs_identical(ref, fused)
 
     def test_every_registered_pattern_is_covered(self):
         for name in TRAFFIC_PATTERNS.names():
@@ -239,46 +257,46 @@ class TestFusedKernelSemantics:
         from repro.sim import PermutationTraffic
 
         net = benes(3)
-        perm = Permutation.random(np.random.default_rng(11), net.n_inputs)
-        sched = schedule_from_switch_settings(
-            net, benes_switch_settings(perm)
-        )
-        traffic = PermutationTraffic(perm, rate=1.0)
-        ref, fused = _single_runs(
-            net, traffic, 20, True, True, None, sched, 3
-        )
-        _assert_single_identical(ref, fused)
-        assert ref.dropped == 0 and ref.unroutable == 0
+        rng = np.random.default_rng(11)
+        perms = [Permutation.random(rng, net.n_inputs) for _ in range(3)]
+        scheds = [
+            schedule_from_switch_settings(net, benes_switch_settings(p))
+            for p in perms
+        ]
+        traffics = [PermutationTraffic(p, rate=1.0) for p in perms]
+        for batch in (1, 3):
+            ref, fused = _slab_runs(
+                net, traffics[:batch], 20, True, True, None,
+                scheds[:batch], 3,
+            )
+            _assert_runs_identical(ref, fused)
+            assert not ref.dropped.any() and not ref.unroutable.any()
 
     @settings(max_examples=20, deadline=None)
     @given(
+        patterns=st.lists(
+            st.sampled_from(ALL_PATTERNS), min_size=2, max_size=6
+        ),
         drop=st.booleans(),
         drain=st.booleans(),
         multipath=st.booleans(),
-        batch=st.integers(min_value=1, max_value=6),
+        n_cells=st.integers(min_value=0, max_value=2),
+        n_links=st.integers(min_value=0, max_value=3),
         seed=st.integers(min_value=0, max_value=2**16),
     )
-    def test_batch_runs_identical(self, drop, drain, multipath, batch, seed):
+    def test_batch_runs_identical(
+        self, patterns, drop, drain, multipath, n_cells, n_links, seed
+    ):
         net = benes(2) if multipath else omega(3)
-        cycles = 20
-        tmats = np.empty((cycles, batch, net.n_inputs), dtype=np.int32)
-        for i in range(batch):
-            rng = np.random.default_rng(seed + i)
-            tmats[:, i] = UniformTraffic(rate=0.9).destinations(
-                rng, net.n_inputs, cycles
-            )
-        comp = compile_network(net)
-        ref = numpy_backend.run_batch(comp, tmats, None, cycles, drop, drain)
-        fused = numba_backend.run_batch(
-            comp, tmats, None, cycles, drop, drain, python=True
+        faults = _random_faults(net, n_cells, n_links, seed)
+        traffics = [
+            _traffic_for(p, 0.9, net.n_inputs, seed + i)
+            for i, p in enumerate(patterns)
+        ]
+        ref, fused = _slab_runs(
+            net, traffics, 20, drop, drain, faults, None, seed
         )
-        for field in _COUNTERS:
-            assert np.array_equal(
-                getattr(ref, field), getattr(fused, field)
-            ), field
-        assert np.array_equal(ref.occupancy, fused.occupancy)
-        assert np.array_equal(ref.lat_bounds, fused.lat_bounds)
-        assert np.array_equal(ref.lat_sorted, fused.lat_sorted)
+        _assert_runs_identical(ref, fused)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ lints exactly like the real module), plus one self-lint test that holds
 the actual source tree to ``--strict`` zero.
 """
 
+import ast
 import json
 import textwrap
 from pathlib import Path
@@ -21,6 +22,7 @@ from repro.analysis.lint import (
     rule_ids,
     run_lint,
 )
+from repro.analysis.lint import policy
 from repro.analysis.lint.engine import (
     Finding,
     module_path,
@@ -338,6 +340,19 @@ class TestWorkerDeterminism:
         assert found and "set literal" in found[0].message
 
 
+    def test_every_worker_function_is_defined_in_campaign(self):
+        # RPR003 finds worker code by name: a renamed worker function
+        # whose old name stays in the policy silently loses coverage.
+        campaign = Path(supervisor.__file__).parent
+        defined = {
+            node.name
+            for path in campaign.glob("*.py")
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        }
+        assert sorted(policy.WORKER_FUNCTIONS - defined) == []
+
+
 class TestPickleBoundary:
     def test_non_tuple_payload_flagged(self, tmp_path):
         write(tmp_path, "repro/campaign/w.py", """\
@@ -573,6 +588,12 @@ class TestSchemaPins:
         assert schema.SPAN_CAMPAIGN == "campaign"
         assert schema.SCENARIO_CARRYING_SPANS == ("group", "simulate_batch")
         assert set(schema.SCENARIO_CARRYING_SPANS) <= schema.SPAN_NAMES
+
+    def test_sim_root_spans_are_declared(self):
+        assert schema.SIM_ROOT_SPANS == {
+            "simulate": "simulate", "batch": "run_batch",
+        }
+        assert set(schema.SIM_ROOT_SPANS.values()) <= schema.SPAN_NAMES
 
     def test_analyze_consumes_schema_constants(self):
         assert analyze.schema is schema

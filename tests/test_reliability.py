@@ -565,23 +565,34 @@ class TestUnroutableIffUnreachable:
                 n_dead_links=n_links,
             )
         rng = np.random.default_rng(seed)
-        perm = rng.permutation(net.n_inputs)
-        traffic = PermutationTraffic(Permutation(perm), rate=1.0)
-        tmat = traffic.destinations(
-            np.random.default_rng(seed), net.n_inputs, 25
+        # Scenario 0 is the batch-of-one run; the slab adds two more
+        # permutations so the B>1 layout is checked on the same net.
+        tmats = np.stack(
+            [
+                PermutationTraffic(
+                    Permutation(rng.permutation(net.n_inputs)), rate=1.0
+                ).destinations(
+                    np.random.default_rng(seed), net.n_inputs, 25
+                )
+                for _ in range(3)
+            ],
+            axis=1,
         )
         comp = compile_network(net, faults)
-        ref = numpy_backend.run_single(comp, tmat, None, 25, drop, True)
-        fused = numba_backend.run_single(
-            comp, tmat, None, 25, drop, True, python=True
-        )
-        for field in (
-            "offered", "injected", "delivered", "dropped", "unroutable",
-            "blocked_moves", "total_hops", "in_flight", "drain_cycles",
-        ):
-            assert getattr(ref, field) == getattr(fused, field), field
-        assert np.array_equal(ref.occupancy, fused.occupancy)
-        assert np.array_equal(ref.latencies, fused.latencies)
+        for batch in (1, 3):
+            slab = np.ascontiguousarray(tmats[:, :batch])
+            ref = numpy_backend.run_batch(comp, slab, None, 25, drop, True)
+            fused = numba_backend.run_batch(
+                comp, slab, None, 25, drop, True, python=True
+            )
+            for field in (
+                "offered", "injected", "delivered", "dropped",
+                "unroutable", "blocked_moves", "total_hops", "in_flight",
+                "drain_cycles", "occupancy", "lat_bounds", "lat_sorted",
+            ):
+                assert np.array_equal(
+                    getattr(ref, field), getattr(fused, field)
+                ), field
 
     @pytest.mark.skipif(
         not numba_available(),

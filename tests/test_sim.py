@@ -537,6 +537,20 @@ class TestSimulateBatch:
         with pytest.raises(ReproError, match="every batch scenario"):
             simulate_batch(omega4, scns, cycles=5)
 
+    @pytest.mark.parametrize("value", [0.7, np.nan, -1.0, 2.0])
+    def test_port_schedule_entries_must_be_zero_or_one(self, omega4, value):
+        # A fractional entry passes a plain range check and would be
+        # cast to port 0; a NaN casts with only a warning.  Both call
+        # forms must reject them.
+        sched = np.full((omega4.n_stages, omega4.n_inputs), value)
+        with pytest.raises(ReproError, match="must be 0 or 1"):
+            simulate(
+                omega4, UniformTraffic(), cycles=5, port_schedule=sched
+            )
+        scns = [BatchScenario(UniformTraffic(), port_schedule=sched)]
+        with pytest.raises(ReproError, match="must be 0 or 1"):
+            simulate_batch(omega4, scns, cycles=5)
+
     def test_bare_patterns_are_wrapped(self, omega4):
         (rep,) = simulate_batch(
             omega4, [UniformTraffic(rate=0.5)], cycles=20

@@ -3,9 +3,8 @@
 The load-bearing properties: ``ScenarioSpec → JSON → ScenarioSpec`` is
 the identity, digests are a canonical function of the wire dict (key
 order never matters) and — crucially for every store written before the
-redesign — bit-identical to the old ``campaign.scenario_hash``; the
-registries guard their names; and the deprecation shims forward while
-warning.
+redesign — bit-identical to the campaign hash that predates the spec
+layer; and the registries guard their names.
 """
 
 from __future__ import annotations
@@ -139,8 +138,8 @@ class TestRoundTrip:
         assert sa.digest == sb.digest
 
     def test_legacy_hash_is_preserved(self):
-        # Pinned against the pre-redesign campaign.scenario_hash: stores
-        # written before the spec layer must keep their keys.
+        # Pinned against the campaign hash that predates the spec layer:
+        # stores written before it must keep their keys.
         spec = ScenarioSpec(
             network=NetworkSpec.catalog("omega", n=4, label="omega(4)"),
             traffic=TrafficSpec.of("uniform", 0.6),
@@ -349,50 +348,6 @@ class TestResolution:
         assert "permutation" in TRAFFIC_PATTERNS
         assert "permutation" not in TRAFFIC_PATTERNS.names()
         assert TrafficSpec.of("permutation", perm=[1, 0]).resolve()
-
-
-class TestDeprecationShims:
-    def test_scenario_hash_warns_and_forwards(self):
-        from repro.campaign import scenario_hash
-
-        spec = ScenarioSpec(
-            network=NetworkSpec.catalog("omega", n=3),
-            traffic=TrafficSpec.of("uniform"),
-        )
-        with pytest.warns(DeprecationWarning, match="scenario_hash"):
-            assert scenario_hash(spec.to_spec()) == spec.digest
-
-    def test_scenario_group_key_warns_and_forwards(self):
-        from repro.campaign.spec import scenario_group_key
-
-        spec = ScenarioSpec(
-            network=NetworkSpec.catalog("omega", n=3),
-            traffic=TrafficSpec.of("uniform"),
-        )
-        with pytest.warns(DeprecationWarning, match="group_key"):
-            assert scenario_group_key(spec.to_spec()) == spec.group_key()
-
-    def test_legacy_scenario_class_warns_and_forwards(self):
-        from repro.campaign import Scenario, run_scenario
-
-        with pytest.warns(DeprecationWarning, match="ScenarioSpec"):
-            legacy = Scenario(
-                topology={
-                    "kind": "catalog", "name": "omega", "n": 3,
-                    "label": "omega(3)",
-                },
-                traffic={"name": "uniform", "rate": 0.8},
-                cycles=20,
-                policy="drop",
-                drain=False,
-                seed=0,
-                fault_cells=0,
-                fault_links=0,
-                fault_seed=0,
-            )
-        assert legacy.hash == legacy.spec.digest
-        assert legacy.label == "omega(3)"
-        assert run_scenario(legacy).cycles == 20
 
 
 class TestScenarioIO:
