@@ -2,12 +2,12 @@
 
 The campaign engine's unit of work is the *scenario* (one full
 simulation run dispatched, executed and persisted).  Two rates are
-tracked: inline (``workers=1``, the per-scenario overhead floor) and
-pooled (``workers=2``), whose ratio is reported as ``speedup`` in
-``extra_info`` — so parallel scaling is *measured*, not assumed.  On a
-single-core runner the pooled rate may legitimately sit below 1× (pipe +
-fork overhead); the benchmark asserts correctness and a sane floor, and
-records the rest.
+tracked, one per dispatch engine: inline (``workers=1``, the
+per-scenario overhead floor) and the supervised pool (``workers=2``),
+whose ratio is reported as ``speedup`` in ``extra_info`` — so parallel
+scaling is *measured*, not assumed.  On a single-core runner the pooled
+rate may legitimately sit below 1× (pipe + fork overhead); the
+benchmark asserts correctness and a sane floor, and records the rest.
 """
 
 from __future__ import annotations
@@ -35,11 +35,9 @@ SPEC = CampaignSpec(
 MIN_SCENARIOS_PER_SEC = 5.0  # sanity floor, far below any healthy run
 
 
-def _sweep(tmp_path, workers: int, supervised: bool = True) -> dict:
+def _sweep(tmp_path, workers: int) -> dict:
     store = tmp_path / f"sweep-{next(_counter)}.jsonl"
-    summary = run_campaign(
-        SPEC, store, workers=workers, supervised=supervised
-    )
+    summary = run_campaign(SPEC, store, workers=workers)
     assert summary["ran"] == SPEC.n_scenarios
     assert len(ResultStore(store)) == SPEC.n_scenarios
     return summary
@@ -68,46 +66,3 @@ def bench_campaign_pool2(benchmark, tmp_path, rates):
     if "inline" in rates:
         benchmark.extra_info["speedup"] = round(rate / rates["inline"], 2)
     assert rate >= MIN_SCENARIOS_PER_SEC
-
-
-# Chaos off, the supervised engine must cost at most this fraction of
-# the direct-pool rate (managed dispatch adds queue hops + polling).
-MAX_SUPERVISOR_OVERHEAD = 0.05
-
-
-def bench_campaign_pool2_direct(benchmark, tmp_path):
-    """The pre-supervisor ``Pool.imap_unordered`` overhead baseline."""
-    benchmark(_sweep, tmp_path, 2, supervised=False)
-    rate = SPEC.n_scenarios / benchmark.stats.stats.mean
-    benchmark.extra_info["backend"] = "numpy"
-    benchmark.extra_info["scenarios_per_sec"] = round(rate, 1)
-    assert rate >= MIN_SCENARIOS_PER_SEC
-
-
-def bench_supervisor_overhead(benchmark, tmp_path):
-    """Guard: supervision within 5% of the direct pool, chaos off.
-
-    Each benchmark round runs a direct/supervised pair back-to-back and
-    times both sides itself, so machine-load drift between separately
-    benchmarked tests cancels out; the guard compares the per-mode
-    *minima* (the least-noisy statistic on shared runners).
-    """
-    import time
-
-    times = {"direct": [], "supervised": []}
-
-    def pair() -> None:
-        for mode, supervised in (("direct", False), ("supervised", True)):
-            t0 = time.perf_counter()
-            _sweep(tmp_path, 2, supervised=supervised)
-            times[mode].append(time.perf_counter() - t0)
-
-    benchmark.pedantic(pair, rounds=3, iterations=1)
-    ratio = min(times["supervised"]) / min(times["direct"])
-    benchmark.extra_info["backend"] = "numpy"
-    benchmark.extra_info["supervised_vs_direct"] = round(ratio, 3)
-    assert ratio <= 1.0 + MAX_SUPERVISOR_OVERHEAD, (
-        f"supervised engine is {(ratio - 1.0) * 100:.1f}% slower than "
-        f"the direct pool (allowed: "
-        f"{MAX_SUPERVISOR_OVERHEAD * 100:.0f}%)"
-    )

@@ -56,16 +56,13 @@ NOPYTHON_NUMPY_CALLS = frozenset({
 #: ``repro/sim/kernels/`` is worker-side by definition.
 WORKER_FUNCTIONS = frozenset({
     "_worker_main",
-    "_apply_override",
+    "_execute_task",
     "_run_group",
-    "_run_group_task",
-    "_run_group_task_inner",
     "_group_reports",
     "_record",
     "_telemetry",
     "_note_group",
     "_worker_init",
-    "_execute_inline",
 })
 
 #: Call targets that read nondeterministic state.  ``time.perf_counter``
@@ -94,9 +91,10 @@ PICKLE_SAFE_CALLS = frozenset({
     "os.getpid", "list", "tuple", "dict", "str", "int", "float", "bool",
 })
 
-#: Exception types a worker must never raise: they escape the
-#: ``Exception`` handler that wraps failures into ``RemoteTaskError``,
-#: so they would cross the queue unwrapped (or kill the worker loop).
+#: Exception types a worker must never raise: they escape
+#: ``_worker_main``'s ``except Exception`` boundary, which turns
+#: failures into ``err`` messages, so they would kill the worker loop
+#: instead of reaching the parent as failure evidence.
 FORBIDDEN_WORKER_RAISES = frozenset({
     "BaseException", "SystemExit", "KeyboardInterrupt", "GeneratorExit",
 })

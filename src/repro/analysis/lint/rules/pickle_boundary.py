@@ -2,9 +2,9 @@
 
 Everything on the worker queues must pickle on the way out *and*
 unpickle in a process that may not share the sender's module state —
-the reason failures travel as ``RemoteTaskError`` (which carries its
-formatted remote traceback through ``__reduce__``) instead of arbitrary
-exception objects.  The rule checks the two directions:
+the reason failures travel as ``err`` messages carrying a plain
+evidence dict (the formatted remote traceback as text) instead of
+arbitrary exception objects.  The rule checks the two directions:
 
 * every ``.put()`` on a queue receiver (or ``.send()`` on a result
   pipe) carries ``None`` (the stop
@@ -12,8 +12,8 @@ exception objects.  The rule checks the two directions:
   attribute loads, literal dicts/lists or calls to pickle-safe
   constructors (:data:`~repro.analysis.lint.policy.PICKLE_SAFE_CALLS`);
 * worker-side code never raises ``BaseException`` family types that
-  would escape the ``except Exception`` wrap-into-``RemoteTaskError``
-  boundary.
+  would escape ``_worker_main``'s ``except Exception`` boundary, which
+  turns every task failure into an ``err`` message.
 """
 
 from __future__ import annotations
@@ -68,8 +68,8 @@ class PickleBoundaryRule(Rule):
     severity = "error"
     hint = (
         "queue payloads must be the None sentinel or literal tuples of "
-        "spec/report/TaskFailure/RemoteTaskError-compatible values; "
-        "wrap worker errors in RemoteTaskError"
+        "pickle-safe values; worker errors cross as err messages "
+        "built in _worker_main's except Exception boundary"
     )
 
     def applies(self, module: str) -> bool:
@@ -138,7 +138,7 @@ class PickleBoundaryRule(Rule):
                         findings.append(ctx.finding(
                             self,
                             node,
-                            f"worker-side raise of {name} escapes the "
-                            "RemoteTaskError wrapping boundary",
+                            f"worker-side raise of {name} escapes "
+                            "_worker_main's except Exception boundary",
                         ))
         return findings

@@ -5,10 +5,11 @@ OOM-kill / chaos ``SIGKILL``), or it hangs past the task timeout — and
 every one of them used to be fatal to the whole sweep.  This module is
 the vocabulary the supervisor uses to make them survivable:
 
-* :class:`RemoteTaskError` — an exception that carries the *formatted*
-  child traceback across the process boundary.  Pickling an exception
-  through a pool strips its ``__traceback__``; wrapping preserves the
-  child stack as text, so abort-mode failures are debuggable.
+* :class:`RemoteTaskError` — the abort-mode error.  It carries the
+  *formatted* worker traceback as text: a traceback object cannot cross
+  a process boundary, so the worker formats it where the exception was
+  caught and the parent raises this error with it, keeping abort-mode
+  failures debuggable.
 * :class:`TaskFailure` — the terminal record of one scenario that could
   not be completed: what failed, how (``raise``/``crash``/``hang``),
   after how many attempts, on which backends, with the full remote
@@ -62,10 +63,10 @@ class RemoteTaskError(ReproError):
     """A campaign task failed in a worker process.
 
     Carries the child's formatted traceback as
-    :attr:`remote_traceback` — the text survives pickling through a
-    pool result pipe, where the exception's own ``__traceback__`` does
-    not.  ``str()`` includes it, so an abort-mode campaign failure
-    prints the real failing frame, not the parent's re-raise site.
+    :attr:`remote_traceback` — text, which survives pickling where an
+    exception's own ``__traceback__`` does not.  ``str()`` includes it,
+    so an abort-mode campaign failure prints the real failing frame,
+    not the parent's re-raise site.
     """
 
     def __init__(self, message: str, remote_traceback: str = "") -> None:

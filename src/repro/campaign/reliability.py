@@ -5,9 +5,9 @@ which augmented networks are *better* — what an extra stage of switches
 buys in surviving terminal pairs as components fail.  A
 :class:`ReliabilitySweepSpec` expands a (network × fault count) grid
 from 0 faults to saturation and runs it through the ordinary campaign
-machinery (:func:`repro.campaign.runner.run_campaign` — supervised,
-resumable, chaos-hardened); the aggregates below then reduce the stored
-records to the classical reliability comparison:
+machinery (:func:`repro.campaign.runner.run_campaign` — inline or
+supervised pool, resumable, chaos-hardened); the aggregates below then
+reduce the stored records to the classical reliability comparison:
 
 * **availability curve** — mean/min/max terminal availability
   (:func:`repro.sim.faults.fault_connectivity`) and observed unroutable
@@ -31,7 +31,7 @@ construction, per draw and hence in the mean.
 
 Like :mod:`repro.campaign.aggregate`, everything here is a pure,
 order-independent function of the stored records: reports are
-byte-identical across supervised/unsupervised runs, interruptions and
+byte-identical across inline and pooled runs, interruptions and
 ``--resume``.
 """
 
@@ -631,7 +631,7 @@ def dumps_reliability(
     Deterministic by construction — sorted rows, sorted keys, no
     wall-clock fields — so two stores holding the same scenario results
     serialize to byte-identical reports regardless of completion order,
-    supervision mode or interruptions.
+    worker count or interruptions.
     """
     doc = {
         "format": _RELIABILITY_FORMAT,

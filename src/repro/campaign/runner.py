@@ -37,33 +37,34 @@ Three layers of batching and caching keep the sweep hot:
 interrupt deterministically in tests); ``workers>1`` dispatches through
 the fault-tolerant supervisor (:mod:`repro.campaign.supervisor`) —
 completion order is nondeterministic, results are not: every scenario's
-report is a pure function of its spec.
+report is a pure function of its spec.  Both engines run every group
+task through one executor, :func:`_execute_task` (chaos injection, the
+task's backend override, then the group), and feed its results and
+failures through the same sinks.
 
-**Fault tolerance.**  Both paths route failures through the supervisor's
-recovery policy: a failed scenario group is bisected to isolate the
-poison, singletons are retried with exponential backoff + deterministic
-jitter, a numba-backend failure is retried once on numpy, and terminal
-failures land — with their full remote traceback — in the
-``repro-campaign-quarantine`` sidecar next to the store
+**Fault tolerance.**  Both engines route failures through the
+supervisor's recovery policy: a failed scenario group is bisected to
+isolate the poison, singletons are retried with exponential backoff +
+deterministic jitter, a numba-backend failure is retried once on numpy,
+and terminal failures land — with their full worker-side traceback — in
+the ``repro-campaign-quarantine`` sidecar next to the store
 (``on_error="quarantine"``, the default) or abort the sweep as a
 :class:`~repro.campaign.errors.RemoteTaskError` (``on_error="abort"``).
-With ``workers>1`` the supervisor additionally enforces per-task
-wall-clock timeouts (``task_timeout``), SIGKILLs hung workers and
-respawns crashed ones, so a segfault or a stuck JIT compile costs one
-task attempt, not the campaign.  Quarantined scenarios are skipped on
-``resume`` and re-run after ``python -m repro campaign quarantine
---requeue``.  The crash-safety oracle is unchanged: once every
-non-poison scenario completes, store bytes and aggregates are identical
-to a fault-free run.  ``supervised=False`` restores the bare
-``Pool.imap_unordered`` loop (the overhead baseline benchmarked by
-``benchmarks/bench_campaign.py``).  A deterministic chaos harness
-(:mod:`repro.campaign.chaos`, ``REPRO_CHAOS``) injects worker
-crash/hang/raise/slow faults inside workers to test all of this.
+The same failure records the same evidence on either engine.  With
+``workers>1`` the supervisor additionally enforces per-task wall-clock
+timeouts (``task_timeout``), SIGKILLs hung workers and respawns crashed
+ones, so a segfault or a stuck JIT compile costs one task attempt, not
+the campaign.  Quarantined scenarios are skipped on ``resume`` and
+re-run after ``python -m repro campaign quarantine --requeue``.  The
+crash-safety oracle is unchanged: once every non-poison scenario
+completes, store bytes and aggregates are identical to a fault-free
+run.  A deterministic chaos harness (:mod:`repro.campaign.chaos`,
+``REPRO_CHAOS``) injects worker crash/hang/raise/slow faults inside
+workers to test all of this.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
 from collections import OrderedDict
@@ -152,25 +153,35 @@ def _run_group(specs: list[ScenarioSpec]) -> list[dict]:
         ]
 
 
-def _run_group_task(task) -> tuple:
-    """Pool task: run a scenario group, return its records pickled.
+def _execute_task(
+    specs,
+    attempt: int,
+    backend_override: str | None,
+    chaos: ChaosSpec | None,
+    dispatch_ts: float | None = None,
+    *,
+    ship: bool = False,
+) -> tuple:
+    """Run one attempt of a group task: the task body of both engines.
 
-    Exceptions cross the process boundary as
-    :class:`~repro.campaign.errors.RemoteTaskError` carrying the
-    *formatted* child traceback — pickling through the pool's result
-    pipe strips ``__traceback__``, so without the wrap an abort-mode
-    failure would surface only the parent's re-raise frame.
+    Injects the attempt's chaos, applies the task's backend override,
+    then runs the group.  Returns ``(records, delta, telemetry)``: the
+    store records, this attempt's compile-cache ``(hits, misses)`` and
+    its :func:`_telemetry` payload.  Exceptions propagate unwrapped, so
+    the inline engine and a pool worker record the same evidence for
+    the same failure.  ``dispatch_ts`` (traced pool tasks) times the
+    queue wait; ``ship`` is set by pool workers, whose telemetry must
+    cross the result pipe.
     """
-    try:
-        return _run_group_task_inner(task)
-    except RemoteTaskError:
-        raise
-    except Exception as exc:
-        raise RemoteTaskError.from_exception(exc) from exc
-
-
-def _run_group_task_inner(task) -> tuple:
-    specs, dispatch_ts = task
+    if chaos:
+        chaos.apply(
+            [s.digest for s in specs], attempt, backend=backend_override
+        )
+    if backend_override is not None:
+        specs = [
+            replace(s, sim=replace(s.sim, backend=backend_override))
+            for s in specs
+        ]
     t0 = time.perf_counter()
     if obs.enabled() and dispatch_ts is not None:
         metrics().histogram("campaign.queue_wait_s").observe(
@@ -181,13 +192,13 @@ def _run_group_task_inner(task) -> tuple:
             max(0.0, time.time() - dispatch_ts)
         )
     before = compile_cache_info()
-    records = _run_group(specs)
+    records = _run_group(list(specs))
     after = compile_cache_info()
     delta = (
         after["hits"] - before["hits"],
         after["misses"] - before["misses"],
     )
-    tele = _telemetry(len(specs), time.perf_counter() - t0)
+    tele = _telemetry(len(specs), time.perf_counter() - t0, ship)
     return records, delta, tele
 
 
@@ -199,33 +210,31 @@ def _note_group(n_scenarios: int, busy_s: float) -> None:
     m.histogram("campaign.group_busy_s").observe(busy_s)
 
 
-def _telemetry(n_scenarios: int, busy_s: float) -> dict:
-    """One group task's telemetry payload for the pool's result path.
+def _telemetry(n_scenarios: int, busy_s: float, ship: bool) -> dict:
+    """One group task's telemetry payload for the engine's result sink.
 
     Always carries the liveness triple (pid, busy seconds, scenario
     count) — a few dozen bytes feeding the parent's per-worker series
     and heartbeat.  Span events and the drained metrics snapshot ride
-    along only while a tracer is active, so an untraced sweep ships no
-    event payload through the pipe.  Draining keeps worker memory
-    bounded: events accumulate only between tasks.
+    along only from a pool worker (``ship``) while a tracer is active,
+    so an untraced sweep ships no event payload through the pipe, and
+    the inline engine's events stay where they were recorded.  Draining
+    keeps worker memory bounded: events accumulate only between tasks.
     """
-    if not obs.enabled():
-        return {
-            "pid": os.getpid(),
-            "busy_s": busy_s,
-            "scenarios": n_scenarios,
-            "events": (),
-            "metrics": None,
-        }
-    _note_group(n_scenarios, busy_s)
-    tr = obs.active()
-    return {
+    tele = {
         "pid": os.getpid(),
         "busy_s": busy_s,
         "scenarios": n_scenarios,
-        "events": tr.drain() if tr.path is None else [],
-        "metrics": metrics().drain(),
+        "events": (),
+        "metrics": None,
     }
+    if obs.enabled():
+        _note_group(n_scenarios, busy_s)
+        if ship:
+            tr = obs.active()
+            tele["events"] = tr.drain() if tr.path is None else []
+            tele["metrics"] = metrics().drain()
+    return tele
 
 
 def _worker_init(
@@ -281,7 +290,6 @@ def run_campaign(
     on_error: str = "quarantine",
     retry_backoff: float = 0.25,
     chaos: ChaosSpec | str | None = None,
-    supervised: bool = True,
 ) -> dict:
     """Run (or resume) a full campaign sweep into a result store.
 
@@ -351,17 +359,13 @@ def run_campaign(
         Default (``None``): parsed from the ``REPRO_CHAOS``
         environment variable, which is off by default.  An execution
         hint: chaos never enters specs, digests or store bytes.
-    supervised:
-        ``False`` restores the bare ``Pool.imap_unordered`` dispatch
-        with no fault tolerance (the overhead baseline; worker
-        exceptions abort the run as ``RemoteTaskError``).
 
     Returns
     -------
     dict
         ``{"total": ..., "skipped": ..., "ran": ..., "store": ...,
         "compile_cache": {"hits": ..., "misses": ...}}`` — the sweep
-        accounting, for logs and tests.  Supervised runs add
+        accounting, for logs and tests, plus
         ``"quarantined"`` (terminal failures this run),
         ``"quarantined_skipped"`` (previously quarantined scenarios
         skipped on resume), ``"quarantine"`` (the sidecar path) and a
@@ -382,8 +386,12 @@ def run_campaign(
     if batch < 1:
         raise ReproError(f"batch must be >= 1, got {batch}")
     scenarios = expand_scenarios(spec, base_dir=base_dir)
+    # Fail fast on bad/unavailable names.  Every expanded scenario
+    # carries the same backend request, so the first one speaks for all.
+    resolved = resolve_backend(
+        backend if backend is not None else scenarios[0].sim.backend
+    )
     if backend is not None:
-        resolve_backend(backend)  # fail fast on bad/unavailable names
         scenarios = [
             replace(s, sim=replace(s.sim, backend=backend))
             for s in scenarios
@@ -392,6 +400,22 @@ def run_campaign(
         chaos = parse_chaos(chaos)
     elif chaos is None:
         chaos = chaos_from_env()
+    warm_numba = resolved == "numba"
+    # Degradation target: retry once on the reference kernels when the
+    # sweep runs the JIT backend.  A chaos spec with poison_numba
+    # entries simulates exactly that failure mode, so it forces the
+    # path on for numpy-only installs (where it is otherwise moot).
+    degrade_backend = None
+    if warm_numba or (chaos is not None and chaos.poison_numba):
+        degrade_backend = "numpy"
+    # Validate the fault-tolerance knobs up front (fail before work).
+    sup_cfg = sup.SupervisorConfig(
+        task_timeout=task_timeout,
+        retries=retries,
+        backoff_base=retry_backoff,
+        on_error=on_error,
+        degrade_backend=degrade_backend,
+    )
     store = ResultStore(store_path)
     qstore = QuarantineStore(quarantine_path(store.path))
     done: set[str] = set()
@@ -421,13 +445,6 @@ def run_campaign(
         hb_default_interval() if heartbeat is None else heartbeat
     )
     hb: HeartbeatWriter | None = None
-    # Validate the fault-tolerance knobs up front (fail before work).
-    sup_cfg = sup.SupervisorConfig(
-        task_timeout=task_timeout,
-        retries=retries,
-        backoff_base=retry_backoff,
-        on_error=on_error,
-    )
 
     def _store(record: dict) -> None:
         nonlocal n_done
@@ -485,24 +502,6 @@ def run_campaign(
         compile_cache_info()["maxsize"],
         min(64, len({s.group_key() for s in pending})),
     )
-    resolved = resolve_backend(
-        backend if backend is not None else pending[0].sim.backend
-    )
-    warm_numba = resolved == "numba"
-    # Degradation target: retry once on the reference kernels when the
-    # sweep runs the JIT backend.  A chaos spec with poison_numba
-    # entries simulates exactly that failure mode, so it forces the
-    # path on for numpy-only installs (where it is otherwise moot).
-    degrade_backend = None
-    if warm_numba or (chaos is not None and chaos.poison_numba):
-        degrade_backend = "numpy"
-    sup_cfg = sup.SupervisorConfig(
-        task_timeout=task_timeout,
-        retries=retries,
-        backoff_base=retry_backoff,
-        on_error=on_error,
-        degrade_backend=degrade_backend,
-    )
     if hb_interval > 0:
         hb = HeartbeatWriter(
             store.path, total=total, skipped=skipped, workers=workers,
@@ -512,25 +511,27 @@ def run_campaign(
         hb.beat(n_done, force=True)
 
     # Telemetry (off unless a tracer is active): the whole dispatch is
-    # one `campaign` span; workers ship their span events and metric
-    # snapshots back piggybacked on the pool's result path, and the
+    # one `campaign` span; pool workers ship their span events and
+    # metric snapshots back piggybacked on the result path, and the
     # parent folds them into its own stream plus a per-worker
     # utilization series for the summary.
     traced = obs.enabled()
     worker_series: "dict[int, dict]" = {}
 
-    def _ingest(tele: dict | None) -> None:
-        if tele is None:
-            return
+    def _on_result(task, payload) -> None:
+        nonlocal cache_hits, cache_misses
+        records, delta, tele = payload
+        cache_hits += delta[0]
+        cache_misses += delta[1]
         if tele["events"]:
             tr = obs.active()
             if tr is not None:
                 tr.ingest(tele["events"])
         if tele["metrics"] is not None:
             metrics().merge(tele["metrics"])
-        _series(tele["pid"], tele["scenarios"], tele["busy_s"])
-
-    def _series(pid: int, n_scenarios: int, busy_s: float) -> None:
+        pid, n_scenarios, busy_s = (
+            tele["pid"], tele["scenarios"], tele["busy_s"]
+        )
         row = worker_series.setdefault(
             pid, {"groups": 0, "scenarios": 0, "busy_s": 0.0}
         )
@@ -539,6 +540,17 @@ def run_campaign(
         row["busy_s"] += busy_s
         if hb is not None:
             hb.note_worker(pid, n_scenarios, busy_s)
+        with obs.span("store", scenarios=len(records)):
+            for record in records:
+                _store(record)
+
+    def _on_dispatch(pid, task) -> None:
+        if hb is not None:
+            hb.note_dispatch(pid)
+
+    def _on_tick() -> None:
+        if hb is not None:
+            hb.beat(n_done)
 
     _log.debug(
         "dispatching %d group task(s) (%d scenario(s)) over %d worker(s), "
@@ -552,66 +564,16 @@ def run_campaign(
     ) as root:
         if workers == 1:
             ensure_compile_cache_min(cache_max)
-            before = compile_cache_info()
-
-            def _execute_inline(task: "sup.Task") -> list[dict]:
-                if chaos:
-                    chaos.apply(
-                        task.digests(), task.attempt,
-                        backend=task.backend_override,
-                    )
-                specs = list(task.specs)
-                if task.backend_override is not None:
-                    specs = [
-                        replace(
-                            s,
-                            sim=replace(
-                                s.sim, backend=task.backend_override
-                            ),
-                        )
-                        for s in specs
-                    ]
-                t0 = time.perf_counter()
-                records = _run_group(specs)
-                busy = time.perf_counter() - t0
-                if traced:
-                    _note_group(len(specs), busy)
-                _series(os.getpid(), len(specs), busy)
-                return records
-
-            def _on_result_inline(task, records) -> None:
-                with obs.span("store", scenarios=len(records)):
-                    for record in records:
-                        _store(record)
-
             fault_stats = sup.run_inline(
                 tasks,
                 cfg=sup_cfg,
-                execute=_execute_inline,
-                on_result=_on_result_inline,
+                execute=lambda task: _execute_task(
+                    task.specs, task.attempt, task.backend_override, chaos
+                ),
+                on_result=_on_result,
                 on_failure=_on_failure,
             )
-            after = compile_cache_info()
-            cache_hits = after["hits"] - before["hits"]
-            cache_misses = after["misses"] - before["misses"]
-        elif supervised:
-            def _on_result_pool(task, records, delta, tele) -> None:
-                nonlocal cache_hits, cache_misses
-                cache_hits += delta[0]
-                cache_misses += delta[1]
-                _ingest(tele)
-                with obs.span("store", scenarios=len(records)):
-                    for record in records:
-                        _store(record)
-
-            def _on_dispatch(pid, task) -> None:
-                if hb is not None:
-                    hb.note_dispatch(pid)
-
-            def _on_tick() -> None:
-                if hb is not None:
-                    hb.beat(n_done)
-
+        else:
             fault_stats = sup.run_supervised(
                 tasks,
                 workers=workers,
@@ -621,35 +583,11 @@ def run_campaign(
                 dispatch_ts_factory=(
                     (lambda: time.time()) if traced else (lambda: None)
                 ),
-                on_result=_on_result_pool,
+                on_result=_on_result,
                 on_failure=_on_failure,
                 on_dispatch=_on_dispatch,
                 on_tick=_on_tick,
             )
-        else:
-            # Legacy direct-pool dispatch: no timeouts, no retries, no
-            # quarantine — a worker failure propagates (as a
-            # RemoteTaskError carrying the child traceback) and a
-            # crashed worker breaks the pool.  Kept as the supervisor's
-            # overhead baseline (bench_campaign) and escape hatch.
-            dispatch_ts = time.time() if traced else None
-            args = [(specs, dispatch_ts) for specs in tasks]
-            with multiprocessing.Pool(
-                processes=workers,
-                initializer=_worker_init,
-                initargs=(cache_max, warm_numba, traced),
-            ) as pool:
-                # Group tasks are heavy (a whole simulate_batch slab),
-                # so chunked dispatch buys nothing.
-                for records, delta, tele in pool.imap_unordered(
-                    _run_group_task, args, chunksize=1
-                ):
-                    cache_hits += delta[0]
-                    cache_misses += delta[1]
-                    _ingest(tele)
-                    with obs.span("store", scenarios=len(records)):
-                        for record in records:
-                            _store(record)
     if hb is not None:
         hb.finish(n_done)
     if new_quarantined:

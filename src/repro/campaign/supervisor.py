@@ -1,12 +1,10 @@
 """Fault-tolerant supervision of campaign task execution.
 
-The pre-supervisor runner fanned group tasks through a bare
-``multiprocessing.Pool.imap_unordered``: one segfaulted worker broke
-the whole pool, one hung numba compile stalled the iterator forever,
-and one poison scenario aborted the run.  This module replaces that
-loop with *managed* dispatch — the parent owns each worker process
-individually and keeps the sweep alive through all three failure
-modes:
+Under a bare process pool one segfaulted worker breaks the whole pool,
+one hung numba compile stalls the result iterator forever, and one
+poison scenario aborts the run.  This module dispatches group tasks
+*managed* instead — the parent owns each worker process individually
+and keeps the sweep alive through all three failure modes:
 
 * **Timeouts.**  Every in-flight task carries a wall-clock deadline
   (``task_timeout``).  A worker past its deadline is ``SIGKILL``-ed,
@@ -29,11 +27,17 @@ modes:
   remote traceback) and finishes the sweep; abort mode raises a
   :class:`~repro.campaign.errors.RemoteTaskError`.
 
-The engine is deliberately generic: it moves
+Two engines apply this policy: :func:`run_supervised` (the worker
+pool) and :func:`run_inline` (``workers=1``, the reference engine;
+timeouts and respawns need a separate process, so it has neither).
+Both are deliberately generic: they move
 :class:`~repro.spec.scenario.ScenarioSpec` tuples and opaque payloads,
-while the runner supplies the execution body (via
-:mod:`repro.campaign.runner`'s group executor, reused verbatim inside
-:func:`_worker_main`) and the result/failure sinks.  Completion events
+while the runner supplies the task body and the result/failure sinks.
+The task body is one executor,
+:func:`repro.campaign.runner._execute_task`: :func:`run_inline`
+receives it as ``execute`` and :func:`_worker_main` calls it in each
+pool worker.  A task that raises yields the same failure evidence
+(:func:`_raised`) on either engine.  Completion events
 count into :data:`repro.obs.metrics` (``campaign.retries``,
 ``campaign.bisects``, ``campaign.degraded``, ``campaign.quarantined``,
 ``campaign.timeouts``, ``campaign.crashes``, ``campaign.respawns``)
@@ -59,11 +63,7 @@ from multiprocessing.connection import wait as wait_readable
 
 from repro.core.errors import ReproError
 from repro.campaign.chaos import ChaosSpec
-from repro.campaign.errors import (
-    RemoteTaskError,
-    TaskFailure,
-    format_remote_traceback,
-)
+from repro.campaign.errors import TaskFailure, format_remote_traceback
 from repro.obs import schema as obs_schema
 from repro.obs import trace as obs
 from repro.obs.log import get_logger
@@ -236,15 +236,20 @@ def plan_recovery(
     return [], failure, "quarantined"
 
 
-def _apply_override(specs, backend_override):
-    if backend_override is None:
-        return specs
-    from dataclasses import replace
+def _raised(exc: Exception) -> dict:
+    """The failure evidence of an exception raised by a task body.
 
-    return tuple(
-        replace(s, sim=replace(s.sim, backend=backend_override))
-        for s in specs
-    )
+    Built where the exception is caught — in the pool worker or the
+    inline engine — so the traceback is formatted while it still holds
+    the raising frames.
+    """
+    return {
+        "kind": "raise",
+        "type": type(exc).__name__,
+        "message": str(exc),
+        "traceback": format_remote_traceback(exc),
+        "worker_pid": os.getpid(),
+    }
 
 
 # -- worker side -------------------------------------------------------------
@@ -253,15 +258,14 @@ def _apply_override(specs, backend_override):
 def _worker_main(inq, results, init_args, chaos: ChaosSpec | None) -> None:
     """The supervised worker loop: init, then task → result until stop.
 
-    Reuses the runner's pool initializer and group executor verbatim
-    (imported lazily — the runner imports this module at top level).
-    Exceptions become structured ``err`` messages carrying the child's
-    formatted traceback.  ``results`` is the write end of this worker's
-    own pipe, written synchronously: a message is fully in the pipe
-    before the next task starts.  A kill mid-write (a timeout kill can
-    land at any point) can truncate only this worker's pipe, which the
-    parent replaces on respawn; no lock is shared with the other
-    workers.
+    Runs the runner's pool initializer and its task executor (imported
+    lazily — the runner imports this module at top level).  Exceptions
+    become structured ``err`` messages carrying the child's formatted
+    traceback.  ``results`` is the write end of this worker's own pipe,
+    written synchronously: a message is fully in the pipe before the
+    next task starts.  A kill mid-write (a timeout kill can land at any
+    point) can truncate only this worker's pipe, which the parent
+    replaces on respawn; no lock is shared with the other workers.
     """
     from repro.campaign import runner
 
@@ -272,36 +276,14 @@ def _worker_main(inq, results, init_args, chaos: ChaosSpec | None) -> None:
             return
         task_id, specs, attempt, backend_override, dispatch_ts = msg
         try:
-            if chaos:
-                chaos.apply(
-                    [s.digest for s in specs],
-                    attempt,
-                    backend=backend_override,
-                )
-            specs = _apply_override(specs, backend_override)
-            records, delta, tele = runner._run_group_task(
-                (list(specs), dispatch_ts)
+            payload = runner._execute_task(
+                specs, attempt, backend_override, chaos, dispatch_ts,
+                ship=True,
             )
-            results.send(("ok", task_id, os.getpid(), records, delta, tele))
+            results.send(("ok", task_id, os.getpid(), payload))
         except Exception as exc:  # noqa: BLE001 — shipped, not swallowed
-            if isinstance(exc, RemoteTaskError):
-                traceback_text = exc.remote_traceback
-                message = exc.args[0] if exc.args else str(exc)
-            else:
-                traceback_text = format_remote_traceback(exc)
-                message = str(exc)
-            results.send((
-                "err",
-                task_id,
-                os.getpid(),
-                {
-                    "kind": "raise",
-                    "type": type(exc).__name__,
-                    "message": message,
-                    "traceback": traceback_text,
-                    "worker_pid": os.getpid(),
-                },
-            ))
+            info = _raised(exc)
+            results.send(("err", task_id, os.getpid(), info))
 
 
 class _Worker:
@@ -309,10 +291,8 @@ class _Worker:
 
     Up to :data:`PREFETCH` tasks are in flight per worker — one running
     plus one queued — so a worker rolls straight into its next task
-    without waiting a parent round-trip (the latency that would
-    otherwise make supervision measurably slower than a bare
-    ``Pool.imap_unordered``, whose workers pull from a pre-loaded
-    queue).  ``inflight[0]`` is the running task; its wall-clock
+    without idling through a parent round-trip.  ``inflight[0]`` is the
+    running task; its wall-clock
     deadline starts at dispatch, or at the moment the previous result
     arrived.
     """
@@ -484,9 +464,10 @@ def run_supervised(
 ) -> dict:
     """Run group tasks over a supervised worker pool; return stats.
 
-    ``tasks`` is a list of spec tuples (one per group).  ``on_result``
-    receives ``(task, records, delta, tele)`` exactly once per
-    completed scenario set; ``on_failure`` receives each terminal
+    ``tasks`` is a list of spec tuples (one per group); the pool
+    spawns at most one worker per task.  ``on_result`` receives
+    ``(task, payload)`` — the executor's return value — exactly once
+    per completed scenario set; ``on_failure`` receives each terminal
     :class:`TaskFailure` (raising inside it aborts the sweep — the
     pool is torn down and the exception propagates).  ``on_dispatch``
     and ``on_tick`` are liveness hooks for heartbeat integration.
@@ -498,11 +479,30 @@ def run_supervised(
         on_failure,
     )
     completed_ids: set[int] = set()
-    pool = [_Worker(ctx, init_args, chaos) for _ in range(workers)]
+    pool = [
+        _Worker(ctx, init_args, chaos)
+        for _ in range(min(workers, len(tasks)))
+    ]
 
-    def _respawn(worker: _Worker) -> None:
+    def _respawn(worker: _Worker, event: str, info: dict, now) -> None:
+        """Respawn a dead or killed worker and fail its running task.
+
+        Prefetched successors never started: they re-enter the queue
+        with no attempt consumed.  The running head fails as ``event``
+        unless its result already arrived.
+        """
+        head = worker.inflight.popleft() if worker.inflight else None
+        queued = list(worker.inflight)
         _count(sched.stats, "respawns")
         worker.spawn()
+        for task in queued:
+            if task.id not in completed_ids:
+                sched.pending.append(task)
+        if head is None or head.id in completed_ids:
+            return
+        completed_ids.add(head.id)
+        _count(sched.stats, event)
+        sched.fail(head, info, now)
 
     def _drain(worker: _Worker) -> None:
         """Handle every message waiting in one worker's result pipe."""
@@ -514,7 +514,7 @@ def run_supervised(
 
     def _handle(worker: _Worker, msg) -> None:
         now = time.monotonic()
-        status, task_id = msg[0], msg[1]
+        status, task_id, _pid, body = msg
         task = None
         if worker.inflight and worker.inflight[0].id == task_id:
             task = worker.inflight.popleft()
@@ -529,12 +529,10 @@ def run_supervised(
             return
         completed_ids.add(task_id)
         if status == "ok":
-            _, _, _, records, delta, tele = msg
             sched.complete(task)
-            on_result(task, records, delta, tele)
+            on_result(task, body)
         else:
-            _, _, _, info = msg
-            sched.fail(task, info, now)
+            sched.fail(task, body, now)
 
     try:
         while True:
@@ -575,37 +573,21 @@ def run_supervised(
             now = time.monotonic()
             # Crashed workers: dead process while holding tasks.  Results
             # it sent before dying still count; then the running head
-            # failed, and prefetched successors never started and simply
-            # re-enter the queue, no attempt consumed.
+            # failed.
             for worker in pool:
                 if worker.proc.is_alive():
                     continue
                 _drain(worker)
-                head = worker.inflight.popleft() if worker.inflight else None
-                queued = list(worker.inflight)
-                _respawn(worker)
-                for task in queued:
-                    if task.id not in completed_ids:
-                        sched.pending.append(task)
-                if head is None or head.id in completed_ids:
-                    continue
-                completed_ids.add(head.id)
-                _count(sched.stats, "crashes")
-                sched.fail(
-                    head,
-                    {
-                        "kind": "crash",
-                        "type": "WorkerCrashed",
-                        "message": (
-                            "worker process died while running the task "
-                            "(signal/OOM/segfault; no traceback "
-                            "available)"
-                        ),
-                        "traceback": "",
-                        "worker_pid": None,
-                    },
-                    now,
-                )
+                _respawn(worker, "crashes", {
+                    "kind": "crash",
+                    "type": "WorkerCrashed",
+                    "message": (
+                        "worker process died while running the task "
+                        "(signal/OOM/segfault; no traceback available)"
+                    ),
+                    "traceback": "",
+                    "worker_pid": None,
+                }, now)
             # Hung workers: running head past the wall-clock deadline.
             if cfg.task_timeout is not None:
                 for worker in pool:
@@ -613,37 +595,23 @@ def run_supervised(
                         continue
                     if now - worker.started <= cfg.task_timeout:
                         continue
-                    head = worker.inflight.popleft()
-                    queued = list(worker.inflight)
                     pid = worker.pid
                     _log.warning(
                         "task %d exceeded task_timeout=%.3gs on worker "
                         "%s; killing and retrying",
-                        head.id, cfg.task_timeout, pid,
+                        worker.inflight[0].id, cfg.task_timeout, pid,
                     )
                     worker.kill()
-                    _respawn(worker)
-                    for task in queued:
-                        if task.id not in completed_ids:
-                            sched.pending.append(task)
-                    if head.id in completed_ids:
-                        continue
-                    completed_ids.add(head.id)
-                    _count(sched.stats, "timeouts")
-                    sched.fail(
-                        head,
-                        {
-                            "kind": "hang",
-                            "type": "TaskTimeout",
-                            "message": (
-                                f"task exceeded the {cfg.task_timeout:g}s "
-                                f"wall-clock timeout on worker {pid}"
-                            ),
-                            "traceback": "",
-                            "worker_pid": pid,
-                        },
-                        now,
-                    )
+                    _respawn(worker, "timeouts", {
+                        "kind": "hang",
+                        "type": "TaskTimeout",
+                        "message": (
+                            f"task exceeded the {cfg.task_timeout:g}s "
+                            f"wall-clock timeout on worker {pid}"
+                        ),
+                        "traceback": "",
+                        "worker_pid": pid,
+                    }, now)
             if on_tick is not None:
                 on_tick()
     finally:
@@ -663,8 +631,10 @@ def run_inline(
     """The single-process engine: same recovery policy, no pool.
 
     ``execute(task)`` runs one group in the calling process and returns
-    its result payload; raising routes the task through
-    retry → bisect → degrade → quarantine exactly like the pool path.
+    its result payload, which ``on_result`` receives as
+    ``(task, payload)``; raising routes the task through
+    retry → bisect → degrade → quarantine exactly like the pool path,
+    with the same evidence.
     Hang and crash supervision need a separate process and are
     therefore pool-only: inline, a hang blocks and a crash kills the
     run — ``workers=1`` remains the transparent debugging mode.
@@ -688,23 +658,7 @@ def run_inline(
         try:
             payload = execute(task)
         except Exception as exc:  # noqa: BLE001 — routed, not swallowed
-            if isinstance(exc, RemoteTaskError):
-                traceback_text = exc.remote_traceback
-                message = exc.args[0] if exc.args else str(exc)
-            else:
-                traceback_text = format_remote_traceback(exc)
-                message = str(exc)
-            sched.fail(
-                task,
-                {
-                    "kind": "raise",
-                    "type": type(exc).__name__,
-                    "message": message,
-                    "traceback": traceback_text,
-                    "worker_pid": os.getpid(),
-                },
-                time.monotonic(),
-            )
+            sched.fail(task, _raised(exc), time.monotonic())
             continue
         sched.complete(task)
         on_result(task, payload)

@@ -791,12 +791,8 @@ class TestZeroCopyWorkers:
         spec = tiny_spec()
         run_campaign(spec, tmp_path / "inline.jsonl", workers=1)
         summary = run_campaign(spec, tmp_path / "pool.jsonl", workers=2)
-        run_campaign(
-            spec, tmp_path / "legacy.jsonl", workers=2, supervised=False
-        )
         inline = self._clean(tmp_path / "inline.jsonl")
         assert self._clean(tmp_path / "pool.jsonl") == inline
-        assert self._clean(tmp_path / "legacy.jsonl") == inline
         assert summary["ran"] == 8
         # Worker-side compile activity is aggregated into the summary
         # (forked workers may inherit a warm cache: hits, not misses).

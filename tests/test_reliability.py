@@ -15,8 +15,8 @@ Four layers of guarantees:
   through its wire form, expands to a nested-fault campaign, and the
   reliability reduction produces monotone non-increasing availability
   curves on which the augmented networks strictly beat plain omega —
-  byte-identically across the supervised, unsupervised and resumed
-  execution paths.
+  byte-identically across the inline, pooled and resumed execution
+  paths.
 * **Unroutable semantics** — a packet is dropped as unroutable *iff*
   ``terminal_reachability`` says its pair has no live path, property
   tested per fault-tolerant variant against both kernel backends.
@@ -440,7 +440,7 @@ class TestReliabilityAggregates:
 
 
 class TestExecutionPathByteIdentity:
-    """Supervised, unsupervised and resumed sweeps agree to the byte."""
+    """Inline, pooled and resumed sweeps agree to the byte."""
 
     SPEC = ReliabilitySweepSpec(
         networks=("omega", "extra_stage_omega"),
@@ -461,11 +461,11 @@ class TestExecutionPathByteIdentity:
     def test_byte_identical_across_paths(self, tmp_path):
         campaign = self.SPEC.to_campaign()
 
-        supervised = tmp_path / "supervised.jsonl"
-        run_campaign(campaign, supervised)
+        inline = tmp_path / "inline.jsonl"
+        run_campaign(campaign, inline, workers=1)
 
-        legacy = tmp_path / "legacy.jsonl"
-        run_campaign(campaign, legacy, workers=2, supervised=False)
+        pooled = tmp_path / "pooled.jsonl"
+        run_campaign(campaign, pooled, workers=2)
 
         resumed = tmp_path / "resumed.jsonl"
         partial = dataclasses.replace(campaign, faults=campaign.faults[:2])
@@ -473,8 +473,8 @@ class TestExecutionPathByteIdentity:
         summary = run_campaign(campaign, resumed, resume=True)
         assert summary["skipped"] > 0
 
-        reference = self._render(supervised)
-        assert self._render(legacy) == reference
+        reference = self._render(inline)
+        assert self._render(pooled) == reference
         assert self._render(resumed) == reference
 
 

@@ -39,6 +39,7 @@ from repro.campaign import (
     record_crc,
     run_campaign,
 )
+from repro.campaign import runner, supervisor
 from repro.campaign.chaos import ChaosInjected, chaos_from_env
 from repro.campaign.errors import format_remote_traceback
 from repro.campaign.heartbeat import render_watch_line
@@ -534,14 +535,15 @@ class TestSupervisedCampaign:
         run_campaign(tiny_spec(), path, **kw)
         return _clean(path)
 
+    @pytest.mark.parametrize("workers", [1, 2])
     def test_poison_scenario_quarantined_rest_intact(
-        self, tmp_path, digests
+        self, tmp_path, digests, workers
     ):
         poisoned = digests[0]
-        want = self._fault_free(tmp_path, workers=2)
+        want = self._fault_free(tmp_path)
         path = tmp_path / "chaotic.jsonl"
         summary = run_campaign(
-            tiny_spec(), path, workers=2, retries=1,
+            tiny_spec(), path, workers=workers, retries=1,
             chaos=f"poison={poisoned[:8]}",
         )
         assert summary["quarantined"] == 1
@@ -560,6 +562,50 @@ class TestSupervisedCampaign:
         assert failure.error_type == "ChaosInjected"
         assert "ChaosInjected" in failure.traceback
         assert failure.attempts == 2  # initial try + 1 retry
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_raised_exception_evidence_is_engine_independent(
+        self, tmp_path, digests, monkeypatch, workers
+    ):
+        # A real exception from inside the group executor (ChaosInjected
+        # fires before it) must be quarantined with the same evidence
+        # whether the inline engine or a pool worker caught it.
+        poisoned = digests[0]
+        run_group = runner._run_group
+
+        def _explode(specs):
+            if any(s.digest == poisoned for s in specs):
+                raise ValueError("boom in simulate")
+            return run_group(specs)
+
+        monkeypatch.setattr(runner, "_run_group", _explode)
+        path = tmp_path / "boom.jsonl"
+        summary = run_campaign(
+            tiny_spec(), path, workers=workers, retries=0
+        )
+        assert summary["quarantined"] == 1
+        (failure,) = list(QuarantineStore(quarantine_path(path)).records())
+        assert failure.hash == poisoned
+        assert failure.kind == "raise"
+        assert failure.error_type == "ValueError"
+        assert failure.message.splitlines()[0] == "boom in simulate"
+        assert "in _explode" in failure.traceback
+
+    def test_pool_spawns_at_most_one_worker_per_task(
+        self, tmp_path, monkeypatch
+    ):
+        spawns = []
+        spawn = supervisor._Worker.spawn
+
+        def _counting_spawn(worker):
+            spawns.append(worker)
+            spawn(worker)
+
+        monkeypatch.setattr(supervisor._Worker, "spawn", _counting_spawn)
+        spec = tiny_spec(topologies=("omega",), faults=(0,), seeds=(0,))
+        summary = run_campaign(spec, tmp_path / "one.jsonl", workers=3)
+        assert summary["ran"] == 1
+        assert len(spawns) == 1
 
     def test_resume_skips_quarantined_then_requeue_reruns(
         self, tmp_path, digests
@@ -594,22 +640,6 @@ class TestSupervisedCampaign:
         text = str(excinfo.value)
         assert digests[0] in text
         assert "remote traceback" in text
-
-    def test_inline_engine_quarantines_too(self, tmp_path, digests):
-        poisoned = digests[-1]
-        want = self._fault_free(tmp_path)
-        path = tmp_path / "inline.jsonl"
-        summary = run_campaign(
-            tiny_spec(), path, workers=1, retries=1,
-            chaos=f"poison={poisoned[:8]}",
-        )
-        assert summary["quarantined"] == 1
-        assert _clean(path) == {
-            h: rec for h, rec in want.items() if h != poisoned
-        }
-        assert QuarantineStore(
-            quarantine_path(path)
-        ).hashes() == {poisoned}
 
     def test_worker_crashes_are_survived(self, tmp_path, digests):
         # Deterministic chaos: pick a seed whose 30% crash rate kills
@@ -722,15 +752,18 @@ class TestSupervisedCampaign:
             assert failure.kind == "hang"
             assert failure.error_type == "TaskTimeout"
 
-    def test_numba_poison_degrades_to_numpy(self, tmp_path, digests):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_numba_poison_degrades_to_numpy(
+        self, tmp_path, digests, workers
+    ):
         # poison_numba fails unless the task was degraded to the numpy
         # backend — the deterministic stand-in for a JIT-only failure.
         # The scenario must complete (on numpy), not quarantine.
         poisoned = digests[0]
-        want = self._fault_free(tmp_path, workers=2)
+        want = self._fault_free(tmp_path)
         path = tmp_path / "degraded.jsonl"
         summary = run_campaign(
-            tiny_spec(), path, workers=2, retries=1,
+            tiny_spec(), path, workers=workers, retries=1,
             retry_backoff=0.05,
             chaos=f"poison_numba={poisoned[:8]}",
         )
@@ -746,6 +779,7 @@ class TestSupervisedCampaign:
             chaos=ChaosSpec(slow_p=1.0, slow_s=0.002),
         )
         assert summary["quarantined"] == 0
+        assert all(v == 0 for v in summary["faults"].values())
         assert _clean(path) == want
 
     def test_chaos_env_var_reaches_workers(
@@ -763,15 +797,6 @@ class TestSupervisedCampaign:
                 tiny_spec(), tmp_path / "s.jsonl", on_error="explode"
             )
         assert not (tmp_path / "s.jsonl").exists()
-
-    def test_unsupervised_legacy_path_still_works(self, tmp_path):
-        want = self._fault_free(tmp_path)
-        path = tmp_path / "legacy.jsonl"
-        summary = run_campaign(
-            tiny_spec(), path, workers=2, supervised=False
-        )
-        assert all(v == 0 for v in summary["faults"].values())
-        assert _clean(path) == want
 
 
 class TestKillNineRecovery:
